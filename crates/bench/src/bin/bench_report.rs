@@ -1,10 +1,10 @@
 //! Headless performance-report runner and regression gate.
 //!
 //! `bench_report run` times the same workloads as the Criterion
-//! `vb2-sweep` / `nint-fit` / `vb2-parallel` groups with plain
-//! `Instant` medians (no harness, CI-friendly) and writes a
-//! `BENCH_*.json` report; `bench_report compare` gates a new report
-//! against a previous one.
+//! `vb2-sweep` / `nint-fit` / `vb2-parallel` groups, plus the posterior
+//! reliability functionals, with plain `Instant` medians (no harness,
+//! CI-friendly) and writes a `BENCH_*.json` report; `bench_report
+//! compare` gates a new report against a previous one.
 //!
 //! ```text
 //! bench_report run --out BENCH_3.json [--label BENCH_3]
@@ -21,7 +21,8 @@
 use nhpp_bayes::nint::{bounds_from_posterior, NintOptions, NintPosterior};
 use nhpp_bench::perf::{compare_full, Metric, Report};
 use nhpp_bench::Scenario;
-use nhpp_models::ModelSpec;
+use nhpp_data::sys17;
+use nhpp_models::{ModelSpec, Posterior};
 use nhpp_vb::{SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Task};
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -213,6 +214,31 @@ fn run(args: &[String]) -> ExitCode {
     let bounds_dg = bounds_from_posterior(&vb2_dg);
     record(&mut metrics, "nint-fit-grouped", samples, || {
         NintPosterior::fit(spec, dg.prior, &dg.data, bounds_dg, NintOptions::default()).unwrap()
+    });
+
+    // reliability-*: the posterior functionals on the System 17 GO info
+    // posterior. `reliability-point` scores every ordered-statistics
+    // chart gap plus one 0.01 s burst gap on a warm β-table;
+    // `reliability-point-cold` is the first call on a fresh clone of a
+    // never-queried posterior, so it carries the table build;
+    // `reliability-interval` is the `/reliability` route's interval.
+    let gaps: Vec<(f64, f64)> = sys17::FAILURE_TIMES
+        .windows(2)
+        .map(|pair| (pair[0], pair[1] - pair[0]))
+        .chain([(sys17::T_END, 0.01)])
+        .collect();
+    let mission = sys17::T_END / 100.0;
+    let warm = vb2_dt.clone();
+    record(&mut metrics, "reliability-point", samples, || {
+        gaps.iter()
+            .map(|&(t, u)| warm.reliability_point(t, u))
+            .sum::<f64>()
+    });
+    record(&mut metrics, "reliability-point-cold", samples, || {
+        vb2_dt.clone().reliability_point(sys17::T_END, mission)
+    });
+    record(&mut metrics, "reliability-interval", samples, || {
+        warm.reliability_interval(sys17::T_END, mission, 0.9)
     });
 
     // Derived throughput, printed for humans; the gated metrics above

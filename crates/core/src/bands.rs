@@ -7,16 +7,17 @@
 //! reliability functionals: conditionally on `(N, β)`,
 //! `Λ(t) = ω·G(t; β)` is a scaled Gamma variable, so
 //! `P(Λ(t) <= x | N, β) = GammaCdf(x / G(t; β); A_N, r_ω)` and one
-//! `β`-quadrature per component finishes the job.
+//! `β`-quadrature per component over the mixture's β-table finishes the
+//! job, with `G(t; β)` the mission mass of the window `(0, t]`.
 
 use crate::error::VbError;
-use nhpp_dist::{Continuous, Gamma, GammaProductMixture};
+use crate::reliability::mission_mass;
+use nhpp_dist::{Continuous, GammaProductMixture};
 use nhpp_models::ModelSpec;
 use nhpp_numeric::quadrature::GaussLegendre;
 use nhpp_numeric::roots::bisect;
 
 const BETA_NODES: usize = 64;
-const WEIGHT_FLOOR: f64 = 1e-13;
 
 /// One point of a credible band.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,25 +32,15 @@ pub struct BandPoint {
     pub upper: f64,
 }
 
-fn beta_expectation<F: FnMut(f64) -> f64>(rule: &GaussLegendre, beta: &Gamma, mut f: F) -> f64 {
-    let lo = beta.quantile(1e-10);
-    let hi = beta.quantile(1.0 - 1e-10);
-    rule.integrate(lo, hi, |b| beta.pdf(b) * f(b))
-}
-
 /// Posterior mean of the mean value function, `E[ω·G(t; β)]`.
 pub fn mean_value_mean(mixture: &GammaProductMixture, spec: ModelSpec, t: f64) -> f64 {
     let rule = GaussLegendre::shared(BETA_NODES);
-    let a0 = spec.alpha0();
     mixture
-        .components()
+        .beta_table()
         .iter()
-        .filter(|c| c.weight >= WEIGHT_FLOOR)
-        .map(|c| {
-            let g_mean = beta_expectation(&rule, &c.beta, |b| {
-                Gamma::new(a0, b).expect("positive node").cdf(t)
-            });
-            c.weight * c.omega.mean() * g_mean
+        .map(|row| {
+            let g_mean = row.expectation(&rule, |b| mission_mass(spec, b, 0.0, t));
+            row.weight * row.omega.mean() * g_mean
         })
         .sum()
 }
@@ -60,21 +51,19 @@ pub fn mean_value_cdf(mixture: &GammaProductMixture, spec: ModelSpec, t: f64, x:
         return 0.0;
     }
     let rule = GaussLegendre::shared(BETA_NODES);
-    let a0 = spec.alpha0();
     mixture
-        .components()
+        .beta_table()
         .iter()
-        .filter(|c| c.weight >= WEIGHT_FLOOR)
-        .map(|c| {
-            let inner = beta_expectation(&rule, &c.beta, |b| {
-                let g = Gamma::new(a0, b).expect("positive node").cdf(t);
+        .map(|row| {
+            let inner = row.expectation(&rule, |b| {
+                let g = mission_mass(spec, b, 0.0, t);
                 if g <= 0.0 {
                     1.0 // Λ(t) = 0 <= x surely
                 } else {
-                    c.omega.cdf(x / g)
+                    row.omega.cdf(x / g)
                 }
             });
-            c.weight * inner
+            row.weight * inner
         })
         .sum::<f64>()
         .clamp(0.0, 1.0)
@@ -143,7 +132,7 @@ pub fn mean_value_band(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nhpp_dist::MixtureComponent;
+    use nhpp_dist::{Gamma, MixtureComponent};
 
     fn concentrated(omega0: f64, beta0: f64) -> GammaProductMixture {
         let k = 1e6;

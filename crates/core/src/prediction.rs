@@ -10,19 +10,20 @@
 //! ```
 //!
 //! with `c(β) = G(t+u; α₀, β) − G(t; α₀, β)`. The `β`-integral is done by
-//! Gauss–Legendre per component, and the pmf over `k` by the stable
-//! recurrence `P(k+1) = P(k)·(A+k)/(k+1)·(1−p)`.
+//! Gauss–Legendre per row of the mixture's β-table, and the pmf over `k`
+//! by the stable recurrence `P(k+1) = P(k)·(A+k)/(k+1)·(1−p)`.
 
 use crate::error::VbError;
-use nhpp_dist::{Continuous, Gamma, GammaProductMixture};
+use crate::reliability::mission_mass;
+use nhpp_dist::GammaProductMixture;
 use nhpp_models::prediction::PredictiveCounts;
 use nhpp_models::ModelSpec;
 use nhpp_numeric::quadrature::GaussLegendre;
 
 /// Gauss–Legendre nodes for the β integral.
 const BETA_NODES: usize = 64;
-/// Components/nodes below this weight are dropped.
-const WEIGHT_FLOOR: f64 = 1e-13;
+/// Quadrature nodes below this weight are dropped.
+const NODE_FLOOR: f64 = 1e-16;
 /// Hard cap on the explicit pmf support.
 const K_CAP: usize = 100_000;
 
@@ -64,23 +65,15 @@ pub fn predictive_counts(
         one_minus_p: f64,
     }
     let mut cells: Vec<Cell> = Vec::new();
-    for comp in mixture.components() {
-        if comp.weight < WEIGHT_FLOOR {
-            continue;
-        }
-        let a = comp.omega.shape();
-        let r = comp.omega.rate();
-        let lo = comp.beta.quantile(1e-10);
-        let hi = comp.beta.quantile(1.0 - 1e-10);
-        for (b, gw) in rule.scaled(lo, hi) {
-            let node_weight = comp.weight * gw * comp.beta.pdf(b);
-            if node_weight < WEIGHT_FLOOR * 1e-3 {
+    for row in mixture.beta_table() {
+        let a = row.omega.shape();
+        let r = row.omega.rate();
+        for (b, gw) in rule.scaled(row.lo, row.hi) {
+            let node_weight = row.weight * gw * row.density(b);
+            if node_weight < NODE_FLOOR {
                 continue;
             }
-            let c = Gamma::new(spec.alpha0(), b)
-                .map_err(VbError::from)?
-                .ln_interval_mass(t, t + u)
-                .exp();
+            let c = mission_mass(spec, b, t, u);
             // ln p^A = −A·ln(1 + c/r), stable for small c.
             let value = (-a * (c / r).ln_1p()).exp();
             cells.push(Cell {
@@ -117,7 +110,7 @@ pub fn predictive_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nhpp_dist::MixtureComponent;
+    use nhpp_dist::{Continuous, Gamma, MixtureComponent};
 
     fn concentrated(omega0: f64, beta0: f64) -> GammaProductMixture {
         let k = 1e6;

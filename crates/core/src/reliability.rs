@@ -11,6 +11,10 @@
 //! * CDF — `P(R <= x | N, β) = P(ω >= −ln x / c(β)) = Q(A_N, r_ω·a)`,
 //!   the regularised upper incomplete gamma, integrated over `β` and
 //!   inverted by bisection for quantiles.
+//!
+//! Bounds and densities of the `β` integrals come from the mixture's
+//! β-table ([`GammaProductMixture::beta_table`]), built once per
+//! posterior; each node then costs one `mission_mass`.
 
 use nhpp_dist::{Continuous, Gamma, GammaProductMixture};
 use nhpp_models::ModelSpec;
@@ -19,39 +23,63 @@ use nhpp_numeric::roots::bisect;
 
 /// Number of Gauss–Legendre nodes for the β integrals.
 const BETA_NODES: usize = 96;
-/// Components below this weight are skipped in reliability integrals.
-const WEIGHT_FLOOR: f64 = 1e-13;
 
 /// `c(β) = G(t+u; α₀, β) − G(t; α₀, β)`, the per-fault probability of
-/// detection inside the mission window.
-fn mission_mass(spec: ModelSpec, beta: f64, t: f64, u: f64) -> f64 {
-    Gamma::new(spec.alpha0(), beta)
-        .expect("mixture components have positive rates")
-        .ln_interval_mass(t, t + u)
-        .exp()
+/// detection inside the mission window. With `x = βt` and `d = βu`,
+/// Goel–Okumoto (`α₀ = 1`) and delayed S-shaped (`α₀ = 2`) have closed
+/// forms:
+///
+/// * GO: `e^{−x}·(1 − e^{−d})`;
+/// * DSS: `e^{−x}·[(1+x)(1 − e^{−d}) − d·e^{−d}] = e^{−x}·[x(1 − e^{−d}) + P(2, d)]`,
+///   a sum of two non-negative terms.
+///
+/// Both stay within ~5e-15 relative of the density's integral for any
+/// window (see the unit test). Every other `α₀` takes the difference of
+/// two incomplete gammas, which loses digits when `u` is short against
+/// `t`.
+pub(crate) fn mission_mass(spec: ModelSpec, beta: f64, t: f64, u: f64) -> f64 {
+    let a0 = spec.alpha0();
+    let (x, d) = (beta * t, beta * u);
+    if a0 == 1.0 {
+        (-x).exp() * -(-d).exp_m1()
+    } else if a0 == 2.0 {
+        (-x).exp() * (x * -(-d).exp_m1() + erlang2_cdf(d))
+    } else {
+        Gamma::new(a0, beta)
+            .expect("mixture components have positive rates")
+            .ln_interval_mass(t, t + u)
+            .exp()
+    }
 }
 
-/// Integrates `f(β)` against a component's β-density.
-fn beta_expectation<F: FnMut(f64) -> f64>(rule: &GaussLegendre, beta: &Gamma, mut f: F) -> f64 {
-    let lo = beta.quantile(1e-10);
-    let hi = beta.quantile(1.0 - 1e-10);
-    rule.integrate(lo, hi, |b| beta.pdf(b) * f(b))
+/// `P(2, d) = 1 − (1+d)·e^{−d}`. Below `d = 1/2` that difference would
+/// cancel (relative error ≈ ε/d), so it is summed as
+/// `e^{−d}·Σ_{k≥2} d^k/k!` there.
+fn erlang2_cdf(d: f64) -> f64 {
+    if d >= 0.5 {
+        return -(-d).exp_m1() - d * (-d).exp();
+    }
+    let mut term = 0.5 * d * d;
+    let mut sum = term;
+    let mut k = 2.0;
+    while term > f64::EPSILON * sum {
+        k += 1.0;
+        term *= d / k;
+        sum += term;
+    }
+    (-d).exp() * sum
 }
 
 /// Posterior point estimate of software reliability, Eq. (31).
 pub fn reliability_point(mixture: &GammaProductMixture, spec: ModelSpec, t: f64, u: f64) -> f64 {
     let rule = GaussLegendre::shared(BETA_NODES);
     let mut acc = 0.0;
-    for comp in mixture.components() {
-        if comp.weight < WEIGHT_FLOOR {
-            continue;
-        }
-        let a = comp.omega.shape();
-        let r = comp.omega.rate();
-        let inner = beta_expectation(&rule, &comp.beta, |b| {
+    for row in mixture.beta_table() {
+        let (a, r) = (row.omega.shape(), row.omega.rate());
+        let inner = row.expectation(&rule, |b| {
             (-a * (mission_mass(spec, b, t, u) / r).ln_1p()).exp()
         });
-        acc += comp.weight * inner;
+        acc += row.weight * inner;
     }
     acc
 }
@@ -73,20 +101,17 @@ pub fn reliability_cdf(
     let rule = GaussLegendre::shared(BETA_NODES);
     let neg_ln_x = -x.ln();
     let mut acc = 0.0;
-    for comp in mixture.components() {
-        if comp.weight < WEIGHT_FLOOR {
-            continue;
-        }
-        let inner = beta_expectation(&rule, &comp.beta, |b| {
+    for row in mixture.beta_table() {
+        let inner = row.expectation(&rule, |b| {
             let c = mission_mass(spec, b, t, u);
             if c <= 0.0 {
                 // Zero chance of any failure ⇒ R = 1 > x.
                 0.0
             } else {
-                comp.omega.sf(neg_ln_x / c)
+                row.omega.sf(neg_ln_x / c)
             }
         });
-        acc += comp.weight * inner;
+        acc += row.weight * inner;
     }
     acc.clamp(0.0, 1.0)
 }
@@ -117,6 +142,38 @@ pub fn reliability_quantile(
 mod tests {
     use super::*;
     use nhpp_dist::MixtureComponent;
+
+    /// `∫_t^{t+u} g(s; α₀, β) ds` by a 16-panel, 32-node composite
+    /// Gauss–Legendre rule over the offset `s − t ∈ [0, u]`, so that a
+    /// short window late in testing is not lost to rounding `t + u`.
+    fn quadrature_mass(alpha0: f64, beta: f64, t: f64, u: f64) -> f64 {
+        let density = Gamma::new(alpha0, beta).unwrap();
+        GaussLegendre::new(32).integrate_composite(0.0, u, 16, |v| density.pdf(t + v))
+    }
+
+    /// The GO and DSS closed forms against quadrature of the density,
+    /// from a window at the start of testing (`βt = 0`) to one deep in
+    /// the tail, and from a burst gap (`βu = 1e−10`) to a long mission.
+    #[test]
+    fn mission_mass_matches_quadrature_of_the_density() {
+        let beta = 1.3e-5;
+        let decades = |lo: i32, hi: i32| (lo..=hi).map(|e| 10f64.powi(e));
+        for spec in [ModelSpec::goel_okumoto(), ModelSpec::delayed_s_shaped()] {
+            for x in std::iter::once(0.0).chain(decades(-4, 2)) {
+                for d in decades(-10, 1) {
+                    let (t, u) = (x / beta, d / beta);
+                    let exact = quadrature_mass(spec.alpha0(), beta, t, u);
+                    let c = mission_mass(spec, beta, t, u);
+                    let rel = (c - exact).abs() / exact;
+                    assert!(
+                        rel <= 1e-11,
+                        "α₀={} βt={x:e} βu={d:e}: {c:e} vs {exact:e} (rel {rel:e})",
+                        spec.alpha0()
+                    );
+                }
+            }
+        }
+    }
 
     /// A single-component mixture concentrated tightly around
     /// (ω₀, β₀) must reproduce the deterministic reliability.

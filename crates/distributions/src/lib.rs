@@ -48,7 +48,7 @@ pub use error::DistError;
 pub use exponential::Exponential;
 pub use gamma::Gamma;
 pub use lognormal::LogNormal;
-pub use mixture::{GammaMixture, GammaProductMixture, MixtureComponent};
+pub use mixture::{BetaRow, GammaMixture, GammaProductMixture, MixtureComponent};
 pub use normal::Normal;
 pub use poisson::Poisson;
 pub use traits::{Continuous, Discrete, Sample};

@@ -6,13 +6,26 @@
 //! couples them and produces the ω–β correlation that the fully factorised
 //! VB1 posterior cannot represent. [`GammaProductMixture`] implements that
 //! object; [`GammaMixture`] is its one-dimensional marginal.
+//!
+//! Every reliability functional of the product mixture is a sum over
+//! components of a one-dimensional β quadrature. The parts of those
+//! quadratures that depend only on the posterior — integration bounds and
+//! the β log-density constants — are kept in a [`BetaRow`] table that the
+//! mixture builds on first use.
 
 use crate::error::DistError;
 use crate::gamma::Gamma;
 use crate::traits::{Continuous, Sample};
+use nhpp_numeric::quadrature::GaussLegendre;
 use nhpp_numeric::roots::brent;
-use nhpp_special::log_sum_exp;
+use nhpp_special::{ln_gamma, log_sum_exp};
 use rand::Rng;
+use std::fmt;
+use std::sync::OnceLock;
+
+/// Components lighter than this are left out of the β-table: anything
+/// they contribute to an expectation of a bounded function is below it.
+const BETA_TABLE_FLOOR: f64 = 1e-13;
 
 /// One component of a [`GammaProductMixture`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -201,11 +214,78 @@ impl Sample<f64> for GammaMixture {
     }
 }
 
+/// One row of a [`GammaProductMixture`]'s β-table: what a component's
+/// β quadrature needs that depends only on the posterior.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BetaRow {
+    /// Normalised mixture weight.
+    pub weight: f64,
+    /// The component's ω distribution.
+    pub omega: Gamma,
+    /// Lower integration bound: the β quantile at `1e−10`.
+    pub lo: f64,
+    /// Upper integration bound: the β quantile at `1 − 1e−10`.
+    pub hi: f64,
+    shape: f64,
+    rate: f64,
+    /// `shape·ln rate` of the β density.
+    shape_ln_rate: f64,
+    /// `ln Γ(shape)` of the β density.
+    ln_gamma_shape: f64,
+}
+
+impl BetaRow {
+    fn new(c: &MixtureComponent) -> Self {
+        let (shape, rate) = (c.beta.shape(), c.beta.rate());
+        BetaRow {
+            weight: c.weight,
+            omega: c.omega,
+            lo: c.beta.quantile(1e-10),
+            hi: c.beta.quantile(1.0 - 1e-10),
+            shape,
+            rate,
+            shape_ln_rate: shape * rate.ln(),
+            ln_gamma_shape: ln_gamma(shape),
+        }
+    }
+
+    /// The β density at `b > 0`. Bitwise equal to the component's
+    /// [`Gamma::pdf`]: the same terms in the same order, with the two
+    /// constants computed once.
+    pub fn density(&self, b: f64) -> f64 {
+        (self.shape_ln_rate + (self.shape - 1.0) * b.ln() - self.rate * b - self.ln_gamma_shape)
+            .exp()
+    }
+
+    /// `∫ q(β)·f(β) dβ` over `[lo, hi]` by `rule`, where `q` is the
+    /// component's β density.
+    pub fn expectation(&self, rule: &GaussLegendre, mut f: impl FnMut(f64) -> f64) -> f64 {
+        rule.integrate(self.lo, self.hi, |b| self.density(b) * f(b))
+    }
+}
+
 /// A mixture of *products* of two independent Gamma distributions — the
 /// exact form of the VB2 variational posterior over `(ω, β)`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct GammaProductMixture {
     components: Vec<MixtureComponent>,
+    /// Built by the first [`GammaProductMixture::beta_table`] call. A
+    /// cache of `components`, so equality and `Debug` ignore it.
+    beta_table: OnceLock<Vec<BetaRow>>,
+}
+
+impl PartialEq for GammaProductMixture {
+    fn eq(&self, other: &Self) -> bool {
+        self.components == other.components
+    }
+}
+
+impl fmt::Debug for GammaProductMixture {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GammaProductMixture")
+            .field("components", &self.components)
+            .finish()
+    }
 }
 
 impl GammaProductMixture {
@@ -234,12 +314,28 @@ impl GammaProductMixture {
         for c in &mut components {
             c.weight /= total;
         }
-        Ok(GammaProductMixture { components })
+        Ok(GammaProductMixture {
+            components,
+            beta_table: OnceLock::new(),
+        })
     }
 
     /// Component list (weights normalised).
     pub fn components(&self) -> &[MixtureComponent] {
         &self.components
+    }
+
+    /// The β-table: one [`BetaRow`] per component of weight at least
+    /// `1e−13`, in component order. Built on the first call, so a fit
+    /// never pays for it; concurrent first calls build it once.
+    pub fn beta_table(&self) -> &[BetaRow] {
+        self.beta_table.get_or_init(|| {
+            self.components
+                .iter()
+                .filter(|c| c.weight >= BETA_TABLE_FLOOR)
+                .map(BetaRow::new)
+                .collect()
+        })
     }
 
     /// Number of components.
@@ -504,6 +600,51 @@ mod tests {
             "mc={cov}, exact={}",
             m.covariance()
         );
+    }
+
+    #[test]
+    fn beta_table_reproduces_the_gamma_density_bitwise() {
+        let heavy = Gamma::new(10.0 + 38.0, 1e6 + 4.1e6).unwrap();
+        let m = GammaProductMixture::new(vec![
+            MixtureComponent {
+                weight: 1.0,
+                omega: Gamma::new(48.0, 1.2).unwrap(),
+                beta: heavy,
+            },
+            MixtureComponent {
+                weight: 1e-14,
+                omega: Gamma::new(49.0, 1.2).unwrap(),
+                beta: Gamma::new(49.0, 5.2e6).unwrap(),
+            },
+        ])
+        .unwrap();
+        let table = m.beta_table();
+        assert_eq!(table.len(), 1, "the light component is left out");
+        let row = &table[0];
+        assert_eq!(row.omega, m.components()[0].omega);
+        assert_eq!(row.lo, heavy.quantile(1e-10));
+        assert_eq!(row.hi, heavy.quantile(1.0 - 1e-10));
+        for (b, _) in GaussLegendre::new(96).scaled(row.lo, row.hi) {
+            assert_eq!(row.density(b).to_bits(), heavy.pdf(b).to_bits(), "b={b}");
+        }
+        let rule = GaussLegendre::new(64);
+        let mass = row.expectation(&rule, |_| 1.0);
+        assert!((mass - 1.0).abs() < 1e-9, "mass={mass}");
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_beta_table() {
+        let m = GammaProductMixture::new(vec![MixtureComponent {
+            weight: 1.0,
+            omega: Gamma::new(5.0, 1.0).unwrap(),
+            beta: Gamma::new(2.0, 3.0).unwrap(),
+        }])
+        .unwrap();
+        let queried = m.clone();
+        assert_eq!(queried.beta_table().len(), 1);
+        assert_eq!(queried, m);
+        assert_eq!(format!("{queried:?}"), format!("{m:?}"));
+        assert!(format!("{m:?}").starts_with("GammaProductMixture { components: ["));
     }
 
     #[test]

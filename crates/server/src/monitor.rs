@@ -631,7 +631,7 @@ pub fn observe_ingest(state: &AppState, project: &Arc<Project>) -> u64 {
     let Some(monitor) = &state.monitor else {
         return 0;
     };
-    if project.times_from(0).is_none() {
+    if project.times_len().is_none() {
         return 0;
     }
     let Some(cached) = cached_fit(project) else {
@@ -655,10 +655,8 @@ pub fn catch_up(state: &AppState, project: &Arc<Project>) -> Result<u64, FitServ
     };
     // Fewer than two failures chart nothing; don't force a fit that
     // could not plot a point anyway.
-    match project.times_from(0) {
-        None => return Ok(0),
-        Some((total, _)) if total < 2 => return Ok(0),
-        Some(_) => {}
+    if project.times_len().is_none_or(|total| total < 2) {
+        return Ok(0);
     }
     let cached = match cached_fit(project) {
         Some(cached) => cached,

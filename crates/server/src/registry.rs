@@ -400,6 +400,13 @@ impl Project {
         Some((total as u64, state.times[from.min(total)..].to_vec()))
     }
 
+    /// The number of failure times, read without copying them. `None`
+    /// for grouped projects, like [`Project::times_from`].
+    pub fn times_len(&self) -> Option<u64> {
+        let state = self.state.lock().expect("project state poisoned");
+        (state.config.kind == DataKind::Times).then_some(state.times.len() as u64)
+    }
+
     /// The two newest failure times `(t_prev, t_last)` for the SPC
     /// check, when the project has at least two (`Times` only).
     pub fn newest_gap(&self) -> Option<(f64, f64)> {

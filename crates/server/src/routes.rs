@@ -868,7 +868,7 @@ fn project_monitor(state: &AppState, id: &str) -> Response {
     let Some(project) = state.registry.get(id) else {
         return error_response(404, &format!("unknown project '{id}'"));
     };
-    if project.times_from(0).is_none() {
+    if project.times_len().is_none() {
         return error_response(409, "monitoring requires a times project");
     }
     let alerts = match crate::monitor::catch_up(state, &project) {
