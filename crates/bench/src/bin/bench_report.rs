@@ -2,9 +2,9 @@
 //!
 //! `bench_report run` times the same workloads as the Criterion
 //! `vb2-sweep` / `nint-fit` / `vb2-parallel` groups, plus the posterior
-//! reliability functionals, with plain `Instant` medians (no harness,
-//! CI-friendly) and writes a `BENCH_*.json` report; `bench_report
-//! compare` gates a new report against a previous one.
+//! reliability functionals and marginal quantiles, with plain `Instant`
+//! medians (no harness, CI-friendly) and writes a `BENCH_*.json` report;
+//! `bench_report compare` gates a new report against a previous one.
 //!
 //! ```text
 //! bench_report run --out BENCH_3.json [--label BENCH_3]
@@ -22,6 +22,7 @@ use nhpp_bayes::nint::{bounds_from_posterior, NintOptions, NintPosterior};
 use nhpp_bench::perf::{compare_full, Metric, Report};
 use nhpp_bench::Scenario;
 use nhpp_data::sys17;
+use nhpp_dist::Continuous;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_vb::{SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Task};
 use std::collections::BTreeMap;
@@ -239,6 +240,22 @@ fn run(args: &[String]) -> ExitCode {
     });
     record(&mut metrics, "reliability-interval", samples, || {
         warm.reliability_interval(sys17::T_END, mission, 0.9)
+    });
+
+    // credible-interval: the ω and β 0.95 equal-tail intervals and their
+    // medians (Tables 2–3, and what a calibrated `/interval` solves);
+    // quantile-tail: the ω quantile at 1 − 1e-12 that bounds the
+    // `/band` search.
+    record(&mut metrics, "credible-interval", samples, || {
+        (
+            warm.credible_interval_omega(0.95),
+            warm.quantile_omega(0.5),
+            warm.credible_interval_beta(0.95),
+            warm.quantile_beta(0.5),
+        )
+    });
+    record(&mut metrics, "quantile-tail", samples, || {
+        warm.mixture().marginal_omega().quantile(1.0 - 1e-12)
     });
 
     // Derived throughput, printed for humans; the gated metrics above

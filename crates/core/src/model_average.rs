@@ -15,7 +15,7 @@ use crate::error::VbError;
 use crate::reliability;
 use crate::vb2::{Vb2Options, Vb2Posterior};
 use nhpp_data::ObservedData;
-use nhpp_dist::{Continuous, GammaMixture};
+use nhpp_dist::{Continuous, Gamma, GammaMixture, MixtureComponent};
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_special::log_sum_exp;
@@ -96,7 +96,11 @@ impl AveragedPosterior {
 
     /// The model-averaged marginal of `ω` as one big Gamma mixture.
     pub fn marginal_omega(&self) -> GammaMixture {
-        let parts: Vec<(f64, nhpp_dist::Gamma)> = self
+        self.marginal(|mc| mc.omega)
+    }
+
+    fn marginal(&self, coordinate: fn(&MixtureComponent) -> Gamma) -> GammaMixture {
+        let parts: Vec<(f64, Gamma)> = self
             .components
             .iter()
             .flat_map(|c| {
@@ -105,7 +109,7 @@ impl AveragedPosterior {
                     .mixture()
                     .components()
                     .iter()
-                    .map(move |mc| (scale * mc.weight, mc.omega))
+                    .map(move |mc| (scale * mc.weight, coordinate(mc)))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -158,27 +162,7 @@ impl Posterior for AveragedPosterior {
     }
 
     fn quantile_beta(&self, p: f64) -> f64 {
-        // Mixture CDF over the per-model β marginals, inverted by
-        // monotone bisection between the extreme component quantiles.
-        if !(0.0..=1.0).contains(&p) {
-            return f64::NAN;
-        }
-        let marginals: Vec<(f64, GammaMixture)> = self
-            .components
-            .iter()
-            .map(|c| (c.weight, c.posterior.marginal_beta()))
-            .collect();
-        let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
-        for (_, m) in &marginals {
-            let q = m.quantile(p);
-            lo = lo.min(q);
-            hi = hi.max(q);
-        }
-        if !(hi > lo) {
-            return hi;
-        }
-        let cdf = |x: f64| marginals.iter().map(|(w, m)| w * m.cdf(x)).sum::<f64>();
-        nhpp_numeric::roots::bisect(|x| cdf(x) - p, lo, hi, 1e-12 * hi, 200).unwrap_or(hi)
+        self.marginal(|mc| mc.beta).quantile(p)
     }
 
     fn ln_joint_density(&self, omega: f64, beta: f64) -> Option<f64> {
@@ -290,6 +274,14 @@ mod tests {
         // Marginal quantiles invert the mixture CDF.
         let q = avg.quantile_omega(0.75);
         assert!((avg.marginal_omega().cdf(q) - 0.75).abs() < 1e-7);
+        // The β marginal is the per-model β marginals, weighted.
+        let q = avg.quantile_beta(0.75);
+        let per_model: f64 = avg
+            .components()
+            .iter()
+            .map(|c| c.weight * c.posterior.marginal_beta().cdf(q))
+            .sum();
+        assert!((per_model - 0.75).abs() < 1e-12, "{per_model}");
     }
 
     #[test]

@@ -17,11 +17,26 @@ use crate::error::DistError;
 use crate::gamma::Gamma;
 use crate::traits::{Continuous, Sample};
 use nhpp_numeric::quadrature::GaussLegendre;
-use nhpp_numeric::roots::brent;
-use nhpp_special::{ln_gamma, log_sum_exp};
+use nhpp_special::{gamma_pq_pdf_given, ln_gamma, log_sum_exp, norm_ppf};
 use rand::Rng;
 use std::fmt;
 use std::sync::OnceLock;
+
+/// Pass cap of [`GammaMixture::newton_quantile`]. Newton needs a handful
+/// of passes from the moment-matched start, and bisection narrows a
+/// bracket to `1e−13` relative in under fifty; the cap only bounds
+/// pathological inputs.
+const QUANTILE_MAX_PASSES: usize = 200;
+
+/// What [`GammaMixture::newton_quantile`] found: the root, the number of
+/// CDF passes it took and the bracket it ended with.
+#[derive(Debug, Clone, Copy)]
+struct NewtonQuantile {
+    x: f64,
+    passes: usize,
+    lo: f64,
+    hi: f64,
+}
 
 /// Components lighter than this are left out of the β-table: anything
 /// they contribute to an expectation of a bounded function is below it.
@@ -113,6 +128,98 @@ impl GammaMixture {
             .sum()
     }
 
+    /// Solves `F(x) = p` for `0 < p < 1` by safeguarded Newton on the
+    /// mixture CDF.
+    ///
+    /// * Start: the Wilson–Hilferty quantile of the Gamma with the
+    ///   mixture's mean and variance.
+    /// * Each pass takes every component's tail mass and density from one
+    ///   series or continued-fraction evaluation, with `ln Γ(shape)`
+    ///   computed once per call. Below the median it solves the lower
+    ///   tail `T = Σ w·P` for `p`; above it, the upper tail `T = Σ w·Q`
+    ///   for `1 − p`, so `T` is always the tail known to full relative
+    ///   accuracy. The step is Newton's on `ln T`, which is near linear
+    ///   in `x` deep in either tail, where Newton on `T` itself creeps.
+    /// * `[lo, hi]` brackets the root by the sign of `F(x) − p`. A step
+    ///   that leaves it bisects, or doubles `x` while `hi` is still `∞`.
+    /// * It stops once a step moves `x` by at most `1e−13·x`.
+    fn newton_quantile(&self, p: f64) -> NewtonQuantile {
+        let upper = p > 0.5;
+        let target = if upper { 1.0 - p } else { p };
+        let ln_gammas: Vec<f64> = self
+            .components
+            .iter()
+            .map(|g| ln_gamma(g.shape()))
+            .collect();
+        let tail_and_density = |x: f64| {
+            let (mut tail, mut density) = (0.0, 0.0);
+            for ((w, g), &lg) in self.weights.iter().zip(&self.components).zip(&ln_gammas) {
+                let (lower_i, upper_i, pdf_i) = gamma_pq_pdf_given(g.shape(), g.rate() * x, lg);
+                tail += w * if upper { upper_i } else { lower_i };
+                density += w * g.rate() * pdf_i;
+            }
+            (tail, density)
+        };
+        let (mut lo, mut hi) = (0.0, f64::INFINITY);
+        let mut x = self.wilson_hilferty(p);
+        let mut passes = 0;
+        loop {
+            passes += 1;
+            let (tail, density) = tail_and_density(x);
+            // `x` lies past the root when the lower tail is too heavy, or
+            // the upper tail too light.
+            if (tail > target) != upper {
+                hi = x;
+            } else {
+                lo = x;
+            }
+            // d(ln T)/dx is `density/T` below the median, `−density/T`
+            // above it.
+            let log_step = (tail / target).ln() * tail / density;
+            let step = if upper { -log_step } else { log_step };
+            let mut next = x - step;
+            // A step within the stop rule is taken as is: it may round
+            // onto a bracket end.
+            if !(step.abs() <= 1e-13 * x || (next > lo && next < hi)) {
+                next = if hi.is_finite() {
+                    0.5 * (lo + hi)
+                } else {
+                    2.0 * x
+                };
+            }
+            if (next - x).abs() <= 1e-13 * x || passes == QUANTILE_MAX_PASSES {
+                return NewtonQuantile {
+                    x: next,
+                    passes,
+                    lo,
+                    hi,
+                };
+            }
+            x = next;
+        }
+    }
+
+    /// The Wilson–Hilferty `p`-quantile of the Gamma with this mixture's
+    /// mean and variance. Where its cube is not positive (far lower tail,
+    /// small shape), the inverse of the leading series term instead; the
+    /// start must be positive, as Newton cannot leave `x = 0`.
+    fn wilson_hilferty(&self, p: f64) -> f64 {
+        let (mean, var) = (self.mean(), self.variance());
+        let shape = mean * mean / var;
+        let c = 1.0 / (9.0 * shape);
+        let u = 1.0 - c + norm_ppf(p) * c.sqrt();
+        let x = mean * u * u * u;
+        if x > 0.0 && x.is_finite() {
+            return x;
+        }
+        let x = ((p.ln() + ln_gamma(shape + 1.0)) / shape).exp() * var / mean;
+        if x > 0.0 && x.is_finite() {
+            x
+        } else {
+            mean
+        }
+    }
+
     /// Central moment `E[(X − E[X])^k]` for `k <= 4`.
     ///
     /// # Panics
@@ -166,8 +273,9 @@ impl Continuous for GammaMixture {
             .sum()
     }
 
-    /// Quantile by Brent's method on the mixture CDF, bracketed by the
-    /// extreme component quantiles.
+    /// Quantile by safeguarded Newton on the mixture CDF (see
+    /// [`GammaMixture::newton_quantile`]); a single component returns its
+    /// own [`Gamma::quantile`].
     fn quantile(&self, p: f64) -> f64 {
         if !(0.0..=1.0).contains(&p) {
             return f64::NAN;
@@ -178,17 +286,15 @@ impl Continuous for GammaMixture {
         if p == 1.0 {
             return f64::INFINITY;
         }
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0f64;
-        for g in &self.components {
-            let q = g.quantile(p);
-            lo = lo.min(q);
-            hi = hi.max(q);
+        if let [g] = self.components[..] {
+            return g.quantile(p);
         }
-        if (hi - lo).abs() <= 1e-14 * hi.abs() {
-            return hi;
-        }
-        brent(|x| self.cdf(x) - p, lo, hi, 1e-12 * hi.max(1.0), 200).unwrap_or(0.5 * (lo + hi))
+        let solve = self.newton_quantile(p);
+        debug_assert!(
+            solve.passes < QUANTILE_MAX_PASSES || solve.hi - solve.lo <= 1e-13 * solve.x,
+            "quantile pass cap reached with a loose bracket: {solve:?}"
+        );
+        solve.x
     }
 
     fn mean(&self) -> f64 {
@@ -479,7 +585,56 @@ mod tests {
         assert!((m.mean() - g.mean()).abs() < 1e-12);
         assert!((m.variance() - g.variance()).abs() < 1e-10);
         for &p in &[0.01, 0.5, 0.99] {
-            assert!((m.quantile(p) - g.quantile(p)).abs() < 1e-7 * g.quantile(p));
+            assert_eq!(m.quantile(p).to_bits(), g.quantile(p).to_bits());
+        }
+    }
+
+    /// `n` components with weights `exp(−690·t²)` for `t` evenly spaced
+    /// over `[−1, 1]`, so the end weights are about `1e−300`.
+    fn bump_weights(n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                let t = if n == 1 {
+                    0.0
+                } else {
+                    2.0 * i as f64 / (n - 1) as f64 - 1.0
+                };
+                (-690.0 * t * t).exp()
+            })
+            .collect()
+    }
+
+    /// ω-like: consecutive integer shapes from `first` at a common rate.
+    fn omega_like(n: usize, first: f64, rate: f64) -> GammaMixture {
+        let parts = bump_weights(n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| (w, Gamma::new(first + i as f64, rate).unwrap()))
+            .collect();
+        GammaMixture::new(parts).unwrap()
+    }
+
+    /// β-like: shapes from `first` with rates near `1e6` that grow with
+    /// the shape, as the VB2 β components' do.
+    fn beta_like(n: usize, first: f64) -> GammaMixture {
+        let parts = bump_weights(n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, w)| {
+                let shape = first + i as f64;
+                (w, Gamma::new(shape, 1e6 * (1.0 + 0.01 * i as f64)).unwrap())
+            })
+            .collect();
+        GammaMixture::new(parts).unwrap()
+    }
+
+    /// The tail mass the solver targets at `x`: the lower tail below the
+    /// median, the upper one above it.
+    fn tail_at(m: &GammaMixture, p: f64, x: f64) -> (f64, f64) {
+        if p > 0.5 {
+            (m.sf(x), 1.0 - p)
+        } else {
+            (m.cdf(x), p)
         }
     }
 
@@ -497,9 +652,68 @@ mod tests {
             let x = m.quantile(p);
             assert!((m.cdf(x) - p).abs() < 1e-9, "p={p}, x={x}");
         }
-        assert_eq!(m.quantile(0.0), 0.0);
-        assert_eq!(m.quantile(1.0), f64::INFINITY);
-        assert!(m.quantile(-0.1).is_nan());
+        let ps = [
+            1e-12,
+            1e-6,
+            0.005,
+            0.025,
+            0.3,
+            0.5,
+            0.7,
+            0.975,
+            0.995,
+            1.0 - 1e-12,
+        ];
+        for n in [1, 2, 7, 40, 150, 300] {
+            for (kind, m) in [
+                ("omega", omega_like(n, 30.0, 1.2)),
+                ("small-shape", omega_like(n, 0.5, 3.0)),
+                ("beta", beta_like(n, 48.0)),
+            ] {
+                let mut prev = 0.0;
+                for &p in &ps {
+                    let x = m.quantile(p);
+                    assert!(x > prev, "{kind} n={n}: not increasing at p={p}");
+                    prev = x;
+                    if n == 1 {
+                        // One component is its own Gamma quantile, bitwise.
+                        let g = m.components()[0];
+                        assert_eq!(x.to_bits(), g.quantile(p).to_bits(), "{kind} p={p}");
+                        continue;
+                    }
+                    let (tail, target) = tail_at(&m, p, x);
+                    assert!(
+                        (tail - target).abs() <= 1e-9 * target,
+                        "{kind} n={n} p={p}: x={x:e}, tail {tail:e} vs {target:e}"
+                    );
+                    let solve = m.newton_quantile(p);
+                    assert!(
+                        solve.passes < QUANTILE_MAX_PASSES
+                            || solve.hi - solve.lo <= 1e-13 * solve.x,
+                        "{kind} n={n} p={p}: cap reached at {solve:?}"
+                    );
+                }
+                assert_eq!(m.quantile(0.0), 0.0);
+                assert_eq!(m.quantile(1.0), f64::INFINITY);
+                for p in [-0.1, 1.1, f64::NAN] {
+                    assert!(m.quantile(p).is_nan(), "{kind} n={n} p={p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn newton_quantile_takes_a_few_passes() {
+        for m in [omega_like(150, 30.0, 1.2), beta_like(150, 48.0)] {
+            for p in [1e-12, 0.005, 0.5, 0.995, 1.0 - 1e-12] {
+                let solve = m.newton_quantile(p);
+                assert!(solve.passes <= 8, "p={p}: {solve:?}");
+                assert!(
+                    solve.lo <= solve.x && solve.x <= solve.hi,
+                    "p={p}: {solve:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -88,6 +88,44 @@ proptest! {
         prop_assert!(m.variance() >= within - 1e-9 * within.max(1.0));
     }
 
+    /// Mixture quantiles over 1–300 components, ω-like (consecutive
+    /// integer shapes at a common rate) or β-like (rates near 1e6), with
+    /// weights falling to 1e-300: the tail the quantile targets round-trips
+    /// to 1e-9 relative from p = 5e-13 to 1 − 5e-13, the quantile is
+    /// monotone in p, and one component is its own Gamma quantile, bitwise.
+    #[test]
+    fn mixture_quantile_wide_roundtrip(n in 1usize..301, beta_like in prop::bool::ANY,
+                                       first in 0.5f64..200.0, rate in 0.01f64..10.0,
+                                       spread in 0.0f64..1.0, digits in 0.3f64..12.0,
+                                       upper in prop::bool::ANY, dp in 1e-6f64..0.5) {
+        let parts: Vec<(f64, Gamma)> = (0..n)
+            .map(|i| {
+                let t = if n == 1 { 0.0 } else { 2.0 * i as f64 / (n - 1) as f64 - 1.0 };
+                let shape = first + i as f64;
+                let r = if beta_like { 1e6 * (1.0 + 0.01 * i as f64) } else { rate };
+                ((-690.0 * spread * t * t).exp(), Gamma::new(shape, r).unwrap())
+            })
+            .collect();
+        let m = GammaMixture::new(parts).unwrap();
+        let tail = 0.5 * 10f64.powf(-digits);
+        let (p, p_inner) = if upper {
+            (1.0 - tail, 1.0 - tail * (1.0 + dp))
+        } else {
+            (tail, tail * (1.0 + dp))
+        };
+        let x = m.quantile(p);
+        prop_assert!(x.is_finite() && x > 0.0, "p={p}, x={x}");
+        let inner = m.quantile(p_inner);
+        let monotone = if upper { inner <= x } else { inner >= x };
+        prop_assert!(monotone, "p={p}: {x} vs {inner} at {p_inner}");
+        if n == 1 {
+            prop_assert_eq!(x.to_bits(), m.components()[0].quantile(p).to_bits());
+        } else {
+            let (got, want) = if upper { (m.sf(x), 1.0 - p) } else { (m.cdf(x), p) };
+            prop_assert!((got - want).abs() <= 1e-9 * want, "p={p}: tail {got:e} vs {want:e}");
+        }
+    }
+
     /// Mixture CDF is monotone and matches quantile inversion.
     #[test]
     fn mixture_quantile_roundtrip(s1 in 0.5f64..20.0, s2 in 0.5f64..20.0, p in 0.01f64..0.99) {

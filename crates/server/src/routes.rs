@@ -519,19 +519,18 @@ fn interval(state: &AppState, req: &Request, id: &str) -> Response {
         Ok(applied) => applied,
         Err(resp) => return resp,
     };
-    let (raw, median) = match param {
-        "omega" => (
-            posterior.credible_interval_omega(level),
-            posterior.quantile_omega(0.5),
-        ),
-        "beta" => (
-            posterior.credible_interval_beta(level),
-            posterior.quantile_beta(0.5),
-        ),
+    let (raw, median): (_, fn(&dyn Posterior) -> f64) = match param {
+        "omega" => (posterior.credible_interval_omega(level), |p| {
+            p.quantile_omega(0.5)
+        }),
+        "beta" => (posterior.credible_interval_beta(level), |p| {
+            p.quantile_beta(0.5)
+        }),
         other => return error_response(400, &format!("unknown param '{other}' (omega|beta)")),
     };
+    // Only a calibration reads the median.
     let (lo, hi) = match &applied {
-        Some(a) => a.cal.interval(median, raw, 0.0),
+        Some(a) => a.cal.interval(median(posterior), raw, 0.0),
         None => raw,
     };
     Response::json(

@@ -17,11 +17,9 @@ const EPS: f64 = 1e-15;
 /// Smallest representable scale used by the modified Lentz algorithm.
 const FPMIN: f64 = f64::MIN_POSITIVE / EPS;
 
-/// `ln` of the power-series representation of `P(a, x)`, accurate for
-/// `x < a + 1`. Returns `ln P(a, x)`. `gln` is the caller's `ln Γ(a)`,
-/// threaded so hot loops with a fixed shape pay for it once.
-fn ln_gamma_p_series(a: f64, x: f64, gln: f64) -> f64 {
-    // P(a, x) = e^{-x} x^a / Γ(a) · Σ_{n≥0} x^n Γ(a) / Γ(a + 1 + n)
+/// The power series `Σ_{n≥0} x^n Γ(a) / Γ(a + 1 + n)`, so that
+/// `P(a, x) = e^{−x} x^a / Γ(a) · sum`; accurate for `x < a + 1`.
+fn p_series_sum(a: f64, x: f64) -> f64 {
     let mut ap = a;
     let mut del = 1.0 / a;
     let mut sum = del;
@@ -33,13 +31,19 @@ fn ln_gamma_p_series(a: f64, x: f64, gln: f64) -> f64 {
             break;
         }
     }
-    -x + a * x.ln() - gln + sum.ln()
+    sum
 }
 
-/// `ln` of the continued-fraction representation of `Q(a, x)`, accurate for
-/// `x >= a + 1`. Returns `ln Q(a, x)`. Uses the modified Lentz algorithm;
-/// `gln` is the caller's `ln Γ(a)`.
-fn ln_gamma_q_cf(a: f64, x: f64, gln: f64) -> f64 {
+/// `ln` of the power-series representation of `P(a, x)`, accurate for
+/// `x < a + 1`. Returns `ln P(a, x)`. `gln` is the caller's `ln Γ(a)`,
+/// threaded so hot loops with a fixed shape pay for it once.
+fn ln_gamma_p_series(a: f64, x: f64, gln: f64) -> f64 {
+    -x + a * x.ln() - gln + p_series_sum(a, x).ln()
+}
+
+/// The continued fraction `h` with `Q(a, x) = e^{−x} x^a / Γ(a) · h`,
+/// accurate for `x >= a + 1`, by the modified Lentz algorithm.
+fn q_cf_sum(a: f64, x: f64) -> f64 {
     let mut b = x + 1.0 - a;
     let mut c = 1.0 / FPMIN;
     let mut d = 1.0 / b;
@@ -62,7 +66,13 @@ fn ln_gamma_q_cf(a: f64, x: f64, gln: f64) -> f64 {
             break;
         }
     }
-    -x + a * x.ln() - gln + h.ln()
+    h
+}
+
+/// `ln` of the continued-fraction representation of `Q(a, x)`, accurate for
+/// `x >= a + 1`. Returns `ln Q(a, x)`; `gln` is the caller's `ln Γ(a)`.
+fn ln_gamma_q_cf(a: f64, x: f64, gln: f64) -> f64 {
+    -x + a * x.ln() - gln + q_cf_sum(a, x).ln()
 }
 
 /// Regularised lower incomplete gamma function `P(a, x) = γ(a, x)/Γ(a)`.
@@ -216,6 +226,39 @@ pub fn ln_gamma_pq_given(a: f64, x: f64, ln_gamma_a: f64) -> (f64, f64) {
     }
 }
 
+/// `P(a, x)`, `Q(a, x)` and the `Gamma(a, 1)` density at `x` from a
+/// single series or continued-fraction pass, with `ln Γ(a)` supplied by
+/// the caller.
+///
+/// Both tails share the kernel `e^{−x} x^a / Γ(a)`: the pass yields the
+/// smaller tail to full relative accuracy, the other is its complement,
+/// and the density is the kernel over `x`. This is what one Newton step
+/// on a Gamma-mixture CDF needs per component.
+pub fn gamma_pq_pdf_given(a: f64, x: f64, ln_gamma_a: f64) -> (f64, f64, f64) {
+    if !(a > 0.0) || !(x >= 0.0) {
+        return (f64::NAN, f64::NAN, f64::NAN);
+    }
+    if x == 0.0 {
+        let pdf = match a.partial_cmp(&1.0) {
+            Some(std::cmp::Ordering::Greater) => 0.0,
+            Some(std::cmp::Ordering::Equal) => 1.0,
+            _ => f64::INFINITY,
+        };
+        return (0.0, 1.0, pdf);
+    }
+    if x == f64::INFINITY {
+        return (1.0, 0.0, 0.0);
+    }
+    let kernel = (-x + a * x.ln() - ln_gamma_a).exp();
+    if x < a + 1.0 {
+        let p = kernel * p_series_sum(a, x);
+        (p, 1.0 - p, kernel / x)
+    } else {
+        let q = kernel * q_cf_sum(a, x);
+        (1.0 - q, q, kernel / x)
+    }
+}
+
 /// Inverse of [`gamma_p`] in its second argument: returns `x` such that
 /// `P(a, x) = p`.
 ///
@@ -355,6 +398,40 @@ mod tests {
         assert!(ln_gamma_q_given(1.0, -1.0, 0.0).is_nan());
         let (ln_p, ln_q) = ln_gamma_pq_given(0.0, 1.0, 0.0);
         assert!(ln_p.is_nan() && ln_q.is_nan());
+    }
+
+    #[test]
+    fn pq_pdf_matches_the_separate_evaluations() {
+        for &a in &[0.3, 1.0, 2.5, 10.0, 123.4, 2.5e4] {
+            let gln = ln_gamma(a);
+            for &frac in &[1e-6, 0.1, 0.9, 1.0, 1.1, 3.0, 40.0] {
+                let x = a * frac;
+                let (p, q, pdf) = gamma_pq_pdf_given(a, x, gln);
+                // The smaller tail to full relative accuracy, the other
+                // to full absolute accuracy.
+                let (small, small_ref) = if x < a + 1.0 {
+                    (p, gamma_p(a, x))
+                } else {
+                    (q, gamma_q(a, x))
+                };
+                assert!(
+                    (small - small_ref).abs() <= 1e-13 * small_ref,
+                    "a={a}, x={x}"
+                );
+                assert!((p + q - 1.0).abs() <= 1e-15, "a={a}, x={x}");
+                // Both exponents sum terms of size ~a, so they agree to
+                // about a·ε, not ε.
+                let pdf_ref = ((a - 1.0) * x.ln() - x - gln).exp();
+                let tol = 1e-14 * a.max(100.0);
+                assert!((pdf - pdf_ref).abs() <= tol * pdf_ref, "a={a}, x={x}");
+            }
+        }
+        assert_eq!(gamma_pq_pdf_given(2.0, 0.0, 0.0), (0.0, 1.0, 0.0));
+        assert_eq!(gamma_pq_pdf_given(1.0, 0.0, 0.0), (0.0, 1.0, 1.0));
+        assert_eq!(gamma_pq_pdf_given(0.5, 0.0, 0.0).2, f64::INFINITY);
+        assert_eq!(gamma_pq_pdf_given(2.0, f64::INFINITY, 0.0), (1.0, 0.0, 0.0));
+        assert!(gamma_pq_pdf_given(-1.0, 1.0, 0.0).0.is_nan());
+        assert!(gamma_pq_pdf_given(1.0, f64::NAN, 0.0).2.is_nan());
     }
 
     #[test]

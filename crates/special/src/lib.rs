@@ -44,8 +44,8 @@ mod wide;
 pub use erf::{erf, erf_inv, erfc, erfc_inv};
 pub use gamma::{digamma, ln_beta, ln_binomial, ln_factorial, ln_gamma, trigamma};
 pub use incgamma::{
-    gamma_p, gamma_p_inv, gamma_q, gamma_q_inv, ln_gamma_p, ln_gamma_p_given, ln_gamma_pq_given,
-    ln_gamma_q, ln_gamma_q_given, EULER_GAMMA,
+    gamma_p, gamma_p_inv, gamma_pq_pdf_given, gamma_q, gamma_q_inv, ln_gamma_p, ln_gamma_p_given,
+    ln_gamma_pq_given, ln_gamma_q, ln_gamma_q_given, EULER_GAMMA,
 };
 pub use logsumexp::{log_diff_exp, log_sum_exp, log_sum_exp_pair, StreamingLogSumExp};
 pub use recurrence::{

@@ -4,7 +4,10 @@
 //! recurrence-kernel or sweep rewrite that silently reverts one fails
 //! loudly here rather than as a subtly mis-calibrated posterior.
 
+use nhpp_bench::Scenario;
 use nhpp_data::sys17;
+use nhpp_dist::{Continuous, GammaMixture};
+use nhpp_models::ModelSpec;
 use nhpp_special::{ln_factorial, ln_gamma, log_sum_exp_pair, LnGammaLadder, REANCHOR_PERIOD};
 use nhpp_special::{log_sum_exp, StreamingLogSumExp};
 
@@ -172,4 +175,68 @@ fn ln_factorial_table_edge_hands_off_to_ln_gamma_smoothly() {
     assert_eq!(ln_factorial(0), 0.0);
     assert_eq!(ln_factorial(1), 0.0);
     assert!((ln_factorial(5) - 120.0f64.ln()).abs() < 1e-12);
+}
+
+// ---------------------------------------------------------------------
+// VB2 marginal quantiles
+// ---------------------------------------------------------------------
+
+/// The float where the mixture's CDF (its SF above the median) crosses
+/// `p`, by bisection on the bit patterns of the non-negative floats down
+/// to two adjacent ones.
+fn bisect_to_adjacent_floats(m: &GammaMixture, p: f64) -> f64 {
+    let below = |x: f64| {
+        if p > 0.5 {
+            m.sf(x) > 1.0 - p
+        } else {
+            m.cdf(x) < p
+        }
+    };
+    let (mut lo, mut hi) = (0.0f64.to_bits(), f64::MAX.to_bits());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if below(f64::from_bits(mid)) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    f64::from_bits(hi)
+}
+
+#[test]
+fn vb2_marginal_quantiles_match_bisection_to_adjacent_floats() {
+    // Regression: the mixture quantile once stopped Brent at an absolute
+    // tolerance of 1e-12·max(hi, 1). β sits near 1e-5, so its quantiles
+    // came back only ~1e-7 accurate (relative): on DT-Info GO the 2.5%
+    // quantile read 6.691355281e-6 against 6.691355518e-6.
+    let ps = [1e-12, 0.005, 0.025, 0.5, 0.975, 0.995, 1.0 - 1e-12];
+    for spec in [ModelSpec::goel_okumoto(), ModelSpec::delayed_s_shaped()] {
+        for scenario in Scenario::all() {
+            let post = nhpp_vb::Vb2Posterior::fit(
+                spec,
+                scenario.prior,
+                &scenario.data,
+                scenario.vb2_options(),
+            )
+            .unwrap();
+            let mixture = post.mixture();
+            for (param, marginal) in [
+                ("omega", mixture.marginal_omega()),
+                ("beta", mixture.marginal_beta()),
+            ] {
+                for p in ps {
+                    let got = marginal.quantile(p);
+                    let want = bisect_to_adjacent_floats(&marginal, p);
+                    let rel = (got - want).abs() / want;
+                    assert!(
+                        rel <= 1e-12,
+                        "α₀={} {} {param} p={p}: {got:e} vs {want:e} (rel {rel:.2e})",
+                        spec.alpha0(),
+                        scenario.name
+                    );
+                }
+            }
+        }
+    }
 }
