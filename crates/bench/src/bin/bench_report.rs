@@ -2,8 +2,9 @@
 //!
 //! `bench_report run` times the same workloads as the Criterion
 //! `vb2-sweep` / `nint-fit` / `vb2-parallel` groups, plus the posterior
-//! reliability functionals and marginal quantiles, with plain `Instant`
-//! medians (no harness, CI-friendly) and writes a `BENCH_*.json` report;
+//! reliability functionals, marginal quantiles and the registry's
+//! long-history append and replay, with plain `Instant` medians (no
+//! harness, CI-friendly) and writes a `BENCH_*.json` report;
 //! `bench_report compare` gates a new report against a previous one.
 //!
 //! ```text
@@ -24,10 +25,13 @@ use nhpp_bench::Scenario;
 use nhpp_data::sys17;
 use nhpp_dist::Continuous;
 use nhpp_models::{ModelSpec, Posterior};
+use nhpp_serve::registry::Project;
+use nhpp_serve::{DurabilityPolicy, MemStorage, ProjectConfig, Registry};
 use nhpp_vb::{SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Task};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() -> ExitCode {
@@ -258,6 +262,31 @@ fn run(args: &[String]) -> ExitCode {
         warm.mixture().marginal_omega().quantile(1.0 - 1e-12)
     });
 
+    // append-long-history: 100 one-event appends (per sample, so the
+    // microsecond call clears timer noise) into a 10^5-event project on
+    // in-memory storage, so the row times staging rather than fsync;
+    // replay-long-history: reopening a 10^5-event snapshot plus 63
+    // single-event records, the worst case between periodic snapshots.
+    let (_, appending) = long_history(LONG_HISTORY);
+    let mut newest = LONG_HISTORY;
+    record(&mut metrics, "append-long-history", samples, || {
+        for _ in 0..100 {
+            newest += 1;
+            appending.ingest(&one_event(newest)).expect("valid batch");
+        }
+    });
+    let (storage, replaying) = long_history(LONG_HISTORY);
+    replaying.force_compact().expect("snapshot and compact");
+    for i in 1..=63 {
+        replaying
+            .ingest(&one_event(LONG_HISTORY + i))
+            .expect("valid batch");
+    }
+    let files = storage.dump();
+    record(&mut metrics, "replay-long-history", samples, || {
+        Registry::open_with(Arc::new(MemStorage::from_map(files.clone())), MANUAL).expect("replay")
+    });
+
     // Derived throughput, printed for humans; the gated metrics above
     // are all time-valued so the comparison rule stays uniform.
     if let Some(m) = metrics.get("vb2-sweep") {
@@ -298,6 +327,38 @@ fn run(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Failure times in the long-history rows.
+const LONG_HISTORY: usize = 100_000;
+
+/// Snapshots and compaction only on request.
+const MANUAL: DurabilityPolicy = DurabilityPolicy {
+    snapshot_every: 0,
+    compact_at_bytes: 0,
+};
+
+/// The batch holding failure number `i`, at `10·i` seconds.
+fn one_event(i: usize) -> String {
+    format!("# t_end={0}\n{0}\n", 10 * i)
+}
+
+/// A durable in-memory project holding failures `1..=events`, loaded in
+/// 25 000-event batches.
+fn long_history(events: usize) -> (Arc<MemStorage>, Arc<Project>) {
+    let storage = Arc::new(MemStorage::new());
+    let registry = Registry::open_with(storage.clone(), MANUAL).expect("in-memory registry");
+    let config = ProjectConfig::from_labels("times", "go", "flat").expect("valid config");
+    registry.create("long", config).expect("create");
+    let project = registry.get("long").expect("created above");
+    for start in (1..=events).step_by(25_000) {
+        let end = (start + 24_999).min(events);
+        let times: String = (start..=end).map(|i| format!("{}\n", 10 * i)).collect();
+        project
+            .ingest(&format!("# t_end={}\n{times}", 10 * end))
+            .expect("valid batch");
+    }
+    (storage, project)
 }
 
 fn record<R>(

@@ -19,7 +19,8 @@ impl GroupedData {
     ///
     /// [`DataError::InvalidGrouping`] if the sequences are empty or of
     /// mismatched length, the boundaries are not strictly increasing and
-    /// positive, or any boundary is non-finite.
+    /// positive, any boundary is non-finite, or the counts total more
+    /// than `u64::MAX`.
     ///
     /// # Example
     ///
@@ -33,6 +34,18 @@ impl GroupedData {
     /// # }
     /// ```
     pub fn new(boundaries: Vec<f64>, counts: Vec<u64>) -> Result<Self, DataError> {
+        GroupedData::validate(&boundaries, &counts)?;
+        Ok(GroupedData { boundaries, counts })
+    }
+
+    /// Checks `boundaries` and `counts` against the invariants
+    /// [`GroupedData::new`] enforces, without taking ownership — for
+    /// callers that keep the vectors themselves.
+    ///
+    /// # Errors
+    ///
+    /// As [`GroupedData::new`].
+    pub fn validate(boundaries: &[f64], counts: &[u64]) -> Result<(), DataError> {
         if boundaries.is_empty() {
             return Err(DataError::InvalidGrouping {
                 message: "at least one interval is required".into(),
@@ -52,7 +65,16 @@ impl GroupedData {
             }
             prev = s;
         }
-        Ok(GroupedData { boundaries, counts })
+        if counts
+            .iter()
+            .try_fold(0u64, |total, &c| total.checked_add(c))
+            .is_none()
+        {
+            return Err(DataError::InvalidGrouping {
+                message: "counts total more than u64::MAX failures".into(),
+            });
+        }
+        Ok(())
     }
 
     /// Creates equally spaced unit-width intervals `(0,1], (1,2], …` from
@@ -192,6 +214,9 @@ mod tests {
         assert!(GroupedData::new(vec![0.0, 1.0], vec![0, 0]).is_err());
         assert!(GroupedData::new(vec![2.0, 1.0], vec![0, 0]).is_err());
         assert!(GroupedData::new(vec![1.0, f64::INFINITY], vec![0, 0]).is_err());
+        // A total past u64::MAX would overflow `total_count`.
+        assert!(GroupedData::new(vec![1.0, 2.0], vec![u64::MAX, 0]).is_ok());
+        assert!(GroupedData::new(vec![1.0, 2.0], vec![u64::MAX, 1]).is_err());
     }
 
     #[test]

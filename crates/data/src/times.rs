@@ -37,6 +37,18 @@ impl FailureTimeData {
     /// # }
     /// ```
     pub fn new(times: Vec<f64>, t_end: f64) -> Result<Self, DataError> {
+        FailureTimeData::validate(&times, t_end)?;
+        Ok(FailureTimeData { times, t_end })
+    }
+
+    /// Checks `times` and `t_end` against the invariants
+    /// [`FailureTimeData::new`] enforces, without taking ownership — for
+    /// callers that keep the vectors themselves.
+    ///
+    /// # Errors
+    ///
+    /// As [`FailureTimeData::new`].
+    pub fn validate(times: &[f64], t_end: f64) -> Result<(), DataError> {
         if !(t_end > 0.0 && t_end.is_finite()) {
             return Err(DataError::InvalidTimes {
                 message: format!("observation end {t_end} must be positive and finite"),
@@ -59,7 +71,7 @@ impl FailureTimeData {
                 });
             }
         }
-        Ok(FailureTimeData { times, t_end })
+        Ok(())
     }
 
     /// Creates the dataset from unsorted times, sorting them first.

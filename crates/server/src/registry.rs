@@ -174,6 +174,9 @@ pub enum RegistryError {
     Data(String),
     /// The durable log could not be written or read (HTTP 500).
     Io(String),
+    /// A failed append could not be rolled back, so the project refuses
+    /// appends until the registry is reopened (HTTP 500).
+    ReadOnly(String),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -182,7 +185,8 @@ impl std::fmt::Display for RegistryError {
             RegistryError::Invalid(m)
             | RegistryError::Conflict(m)
             | RegistryError::Data(m)
-            | RegistryError::Io(m) => write!(f, "{m}"),
+            | RegistryError::Io(m)
+            | RegistryError::ReadOnly(m) => write!(f, "{m}"),
         }
     }
 }
@@ -253,6 +257,37 @@ struct ProjectStore {
     log_bytes: u64,
     policy: DurabilityPolicy,
     stats: Arc<RecoveryStats>,
+    /// Set when a failed append could not be rolled back.
+    read_only: bool,
+}
+
+impl ProjectStore {
+    /// Appends one framed record. A failed append is truncated back to
+    /// the last acknowledged length, so the next append never lands
+    /// behind a torn or unacknowledged frame; if that truncation fails
+    /// too, the store refuses appends until replay rereads the log.
+    fn append(&mut self, frame: &[u8]) -> Result<(), RegistryError> {
+        if self.read_only {
+            return Err(RegistryError::ReadOnly(format!(
+                "{} ends in an append that could not be rolled back; \
+                 appends are refused until the registry is reopened",
+                self.log_name
+            )));
+        }
+        match self.storage.append(&self.log_name, frame) {
+            Ok(len) => {
+                self.log_bytes = len;
+                Ok(())
+            }
+            Err(e) => {
+                self.read_only = self
+                    .storage
+                    .truncate(&self.log_name, self.log_bytes)
+                    .is_err();
+                Err(io_err("log append failed", e))
+            }
+        }
+    }
 }
 
 /// The mutable streaming state of one project.
@@ -331,8 +366,9 @@ impl Project {
     /// # Errors
     ///
     /// [`RegistryError::Data`] when the batch violates the append-only
-    /// invariants, [`RegistryError::Io`] when the log write fails (the
-    /// in-memory state is left untouched in both cases).
+    /// invariants, [`RegistryError::Io`] when the log write fails,
+    /// [`RegistryError::ReadOnly`] after a failed write could not be
+    /// rolled back (the in-memory state is left untouched in all cases).
     pub fn ingest(&self, batch_text: &str) -> Result<u64, RegistryError> {
         let mut state = self.state.lock().expect("project state poisoned");
         let staged = stage_batch(&state, batch_text)?;
@@ -340,24 +376,9 @@ impl Project {
         if let Some(store) = state.store.as_mut() {
             let mut body = format!("{next_version}\n").into_bytes();
             body.extend_from_slice(batch_text.as_bytes());
-            store.log_bytes = store
-                .storage
-                .append(&store.log_name, &frame_record(b'B', &body))
-                .map_err(|e| io_err("log append failed", e))?;
+            store.append(&frame_record(b'B', &body))?;
         }
-        let added = staged.added;
-        match staged.data {
-            StagedData::Times { times, t_end } => {
-                state.times = times;
-                state.t_end = t_end;
-            }
-            StagedData::Grouped { boundaries, counts } => {
-                state.boundaries = boundaries;
-                state.counts = counts;
-            }
-        }
-        state.version = next_version;
-        state.event_count += added;
+        let added = commit_staged(&mut state, staged);
         maintain(&mut state);
         Ok(added)
     }
@@ -580,17 +601,6 @@ fn maintain(state: &mut ProjectState) {
 // Snapshot encoding.
 // ---------------------------------------------------------------------
 
-/// Decoded `S` record body.
-struct SnapshotState {
-    config: ProjectConfig,
-    times: Vec<f64>,
-    t_end: f64,
-    boundaries: Vec<f64>,
-    counts: Vec<u64>,
-    version: u64,
-    event_count: u64,
-}
-
 /// Serialises the full project state as the line-oriented `S` body.
 /// `f64` `Display` round-trips exactly through `parse`, so a decoded
 /// snapshot is bit-identical to the state that wrote it.
@@ -631,9 +641,10 @@ fn parse_list<T: std::str::FromStr>(rest: &str, what: &str) -> Result<Vec<T>, St
 }
 
 /// Decodes and *validates* an `S` body: the dataset must satisfy the
-/// same invariants the canonical constructors enforce, and the event
-/// count must match, so a decoded snapshot can never poison a registry.
-fn decode_snapshot(body: &[u8]) -> Result<SnapshotState, String> {
+/// same invariants the canonical constructors enforce (and be empty at
+/// version 0), and the event count must match, so a decoded snapshot
+/// can never poison a registry.
+fn decode_snapshot(body: &[u8]) -> Result<ProjectState, String> {
     let text = std::str::from_utf8(body).map_err(|_| "non-UTF-8 snapshot".to_string())?;
     let mut version = None;
     let mut event_count = None;
@@ -665,23 +676,26 @@ fn decode_snapshot(body: &[u8]) -> Result<SnapshotState, String> {
     let version: u64 = version.ok_or("snapshot missing version")?;
     let event_count: u64 = event_count.ok_or("snapshot missing events")?;
     let config = config.ok_or("snapshot missing config")?;
-    if version > 0 {
-        match config.kind {
-            DataKind::Times => {
-                FailureTimeData::new(times.clone(), t_end).map_err(|e| e.to_string())?;
-                if event_count != times.len() as u64 {
-                    return Err("snapshot event count disagrees with times".to_string());
-                }
+    let data_events = match config.kind {
+        _ if version == 0 => {
+            if times.len() + boundaries.len() + counts.len() > 0 {
+                return Err("snapshot at version 0 carries data".to_string());
             }
-            DataKind::Grouped => {
-                GroupedData::new(boundaries.clone(), counts.clone()).map_err(|e| e.to_string())?;
-                if event_count != counts.iter().sum::<u64>() {
-                    return Err("snapshot event count disagrees with counts".to_string());
-                }
-            }
+            0
         }
+        DataKind::Times => {
+            FailureTimeData::validate(&times, t_end).map_err(|e| e.to_string())?;
+            times.len() as u64
+        }
+        DataKind::Grouped => {
+            GroupedData::validate(&boundaries, &counts).map_err(|e| e.to_string())?;
+            counts.iter().sum()
+        }
+    };
+    if event_count != data_events {
+        return Err("snapshot event count disagrees with its data".to_string());
     }
-    Ok(SnapshotState {
+    Ok(ProjectState {
         config,
         times,
         t_end,
@@ -689,11 +703,12 @@ fn decode_snapshot(body: &[u8]) -> Result<SnapshotState, String> {
         counts,
         version,
         event_count,
+        store: None,
     })
 }
 
 /// Parses a snapshot *file*: exactly one cleanly-framed `S` record.
-fn parse_snapshot_file(bytes: &[u8]) -> Result<SnapshotState, String> {
+fn parse_snapshot_file(bytes: &[u8]) -> Result<ProjectState, String> {
     let scan = scan_records(bytes);
     if scan.stop.is_some() || scan.records.len() != 1 {
         return Err("snapshot file is not one clean record".to_string());
@@ -709,21 +724,20 @@ fn parse_snapshot_file(bytes: &[u8]) -> Result<SnapshotState, String> {
 // Batch staging (shared by ingest and replay).
 // ---------------------------------------------------------------------
 
-/// A validated batch, not yet committed.
+/// A batch validated by its canonical constructor and checked at its
+/// seam with the project history, not yet committed. The seam checks
+/// plus the batch's own validation imply every invariant of the merged
+/// dataset (DESIGN §12), so staging reads only the newest event.
 struct Staged {
-    data: StagedData,
-    added: u64,
+    batch: ObservedData,
+    /// The project's event count once the batch is committed.
+    event_count: u64,
 }
 
-enum StagedData {
-    Times { times: Vec<f64>, t_end: f64 },
-    Grouped { boundaries: Vec<f64>, counts: Vec<u64> },
-}
-
-/// Validates a batch against the append-only invariants and produces
-/// the merged dataset without mutating anything.
+/// Parses a batch and checks it against the newest event, the
+/// observation end and the event count, without mutating anything.
 fn stage_batch(state: &ProjectState, batch_text: &str) -> Result<Staged, RegistryError> {
-    match state.config.kind {
+    let (batch, added) = match state.config.kind {
         DataKind::Times => {
             let batch = read_failure_times(batch_text.as_bytes())
                 .map_err(|e| RegistryError::Data(format!("bad times batch: {e}")))?;
@@ -741,18 +755,8 @@ fn stage_batch(state: &ProjectState, batch_text: &str) -> Result<Staged, Registr
                     )));
                 }
             }
-            let mut times = state.times.clone();
-            times.extend_from_slice(batch.times());
-            let t_end = batch.observation_end();
-            // Revalidate the merged dataset through the canonical
-            // constructor so a registry invariant can never drift from
-            // the `FailureTimeData` one.
-            FailureTimeData::new(times.clone(), t_end)
-                .map_err(|e| RegistryError::Data(e.to_string()))?;
-            Ok(Staged {
-                added: batch.len() as u64,
-                data: StagedData::Times { times, t_end },
-            })
+            let added = batch.len() as u64;
+            (ObservedData::Times(batch), added)
         }
         DataKind::Grouped => {
             let batch = read_grouped(batch_text.as_bytes())
@@ -766,34 +770,36 @@ fn stage_batch(state: &ProjectState, batch_text: &str) -> Result<Staged, Registr
                     )));
                 }
             }
-            let mut boundaries = state.boundaries.clone();
-            boundaries.extend_from_slice(batch.boundaries());
-            let mut counts = state.counts.clone();
-            counts.extend_from_slice(batch.counts());
-            GroupedData::new(boundaries.clone(), counts.clone())
-                .map_err(|e| RegistryError::Data(e.to_string()))?;
-            Ok(Staged {
-                added: batch.total_count(),
-                data: StagedData::Grouped { boundaries, counts },
-            })
+            let added = batch.total_count();
+            (ObservedData::Grouped(batch), added)
         }
-    }
+    };
+    let event_count = state.event_count.checked_add(added).ok_or_else(|| {
+        RegistryError::Data(format!(
+            "batch of {added} events overflows the project's {} events",
+            state.event_count
+        ))
+    })?;
+    Ok(Staged { batch, event_count })
 }
 
-/// Commits a staged batch into `state` (no log write — replay only).
-fn commit_staged(state: &mut ProjectState, staged: Staged) {
-    match staged.data {
-        StagedData::Times { times, t_end } => {
-            state.times = times;
-            state.t_end = t_end;
+/// Extends the history in place with a staged batch that is already
+/// durable, and returns the number of events it added.
+fn commit_staged(state: &mut ProjectState, staged: Staged) -> u64 {
+    match &staged.batch {
+        ObservedData::Times(batch) => {
+            state.times.extend_from_slice(batch.times());
+            state.t_end = batch.observation_end();
         }
-        StagedData::Grouped { boundaries, counts } => {
-            state.boundaries = boundaries;
-            state.counts = counts;
+        ObservedData::Grouped(batch) => {
+            state.boundaries.extend_from_slice(batch.boundaries());
+            state.counts.extend_from_slice(batch.counts());
         }
     }
+    let added = staged.event_count - state.event_count;
     state.version += 1;
-    state.event_count += staged.added;
+    state.event_count = staged.event_count;
+    added
 }
 
 /// Outcome of [`Registry::create`].
@@ -896,7 +902,9 @@ impl Registry {
     /// [`RegistryError::Invalid`] for a bad id,
     /// [`RegistryError::Conflict`] when the id exists with a different
     /// configuration, [`RegistryError::Io`] when the log cannot be
-    /// started.
+    /// started (if that write could not be rolled back either, the id
+    /// stays registered and refuses appends until the registry is
+    /// reopened).
     pub fn create(&self, id: &str, config: ProjectConfig) -> Result<CreateOutcome, RegistryError> {
         validate_id(id)?;
         let mut projects = self.projects.lock().expect("registry poisoned");
@@ -909,29 +917,32 @@ impl Registry {
                 )))
             };
         }
-        let store = match &self.storage {
-            Some(storage) => {
-                let log_name = format!("{id}.log");
-                let frame = frame_record(b'C', config_body(&config).as_bytes());
-                let log_bytes = storage
-                    .append(&log_name, &frame)
-                    .map_err(|e| io_err("log append failed", e))?;
-                Some(ProjectStore {
-                    storage: storage.clone(),
-                    log_name,
-                    snap_name: format!("{id}.snap"),
-                    log_bytes,
-                    policy: self.policy,
-                    stats: self.stats.clone(),
-                })
-            }
-            None => None,
-        };
-        projects.insert(
-            id.to_string(),
-            Arc::new(Project::new(id.to_string(), config, store)),
-        );
-        Ok(CreateOutcome::Created)
+        // Replay left any log of an unknown id empty, so a failed append
+        // rolls back to zero bytes.
+        let mut store = self.storage.as_ref().map(|s| self.project_store(s, id, 0));
+        let started = store.as_mut().map_or(Ok(()), |store| {
+            store.append(&frame_record(b'C', config_body(&config).as_bytes()))
+        });
+        if started.is_ok() || store.as_ref().is_some_and(|store| store.read_only) {
+            projects.insert(
+                id.to_string(),
+                Arc::new(Project::new(id.to_string(), config, store)),
+            );
+        }
+        started.map(|()| CreateOutcome::Created)
+    }
+
+    /// The durable backing of project `id`, whose log is `log_bytes` long.
+    fn project_store(&self, storage: &Arc<dyn Storage>, id: &str, log_bytes: u64) -> ProjectStore {
+        ProjectStore {
+            storage: storage.clone(),
+            log_name: format!("{id}.log"),
+            snap_name: format!("{id}.snap"),
+            log_bytes,
+            policy: self.policy,
+            stats: self.stats.clone(),
+            read_only: false,
+        }
     }
 
     /// Looks up a project.
@@ -984,16 +995,7 @@ impl Registry {
             match parse_snapshot_file(&bytes) {
                 Ok(snap) => {
                     self.stats.bump(&self.stats.snapshots_loaded);
-                    state = Some(ProjectState {
-                        config: snap.config,
-                        times: snap.times,
-                        t_end: snap.t_end,
-                        boundaries: snap.boundaries,
-                        counts: snap.counts,
-                        version: snap.version,
-                        event_count: snap.event_count,
-                        store: None,
-                    });
+                    state = Some(snap);
                 }
                 Err(_) => self.stats.bump(&self.stats.snapshot_fallbacks),
             }
@@ -1089,14 +1091,7 @@ impl Registry {
         }
 
         let mut state = state.expect("state exists when records or snapshot do");
-        state.store = Some(ProjectStore {
-            storage: storage.clone(),
-            log_name,
-            snap_name,
-            log_bytes: scan.valid_len,
-            policy: self.policy,
-            stats: self.stats.clone(),
-        });
+        state.store = Some(self.project_store(storage, id, scan.valid_len));
         self.projects.lock().expect("registry poisoned").insert(
             id.to_string(),
             Arc::new(Project::from_state(id.to_string(), state)),

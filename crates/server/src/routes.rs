@@ -91,7 +91,7 @@ fn registry_error(err: &RegistryError) -> Response {
     let status = match err {
         RegistryError::Invalid(_) | RegistryError::Data(_) => 400,
         RegistryError::Conflict(_) => 409,
-        RegistryError::Io(_) => 500,
+        RegistryError::Io(_) | RegistryError::ReadOnly(_) => 500,
     };
     error_response(status, &err.to_string())
 }

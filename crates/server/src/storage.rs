@@ -443,7 +443,9 @@ pub enum IoFaultKind {
 /// A deterministic schedule: count storage operations and inject
 /// `kind` on operation number `fail_at_op` (0-based). After the fault
 /// fires the storage is dead — every later operation fails — modelling
-/// a process that crashed at that exact point.
+/// a process that crashed at that exact point; a survivable plan keeps
+/// it working instead, modelling an I/O error the process lives
+/// through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoFaultPlan {
     /// 0-based index of the operation to sabotage.
@@ -452,8 +454,10 @@ pub struct IoFaultPlan {
     pub kind: IoFaultKind,
     /// For [`IoFaultKind::TornWrite`]/[`IoFaultKind::ShortRead`]: the
     /// numerator of the fraction of bytes that survive, over 4 (so
-    /// 0 ⇒ nothing, 2 ⇒ half, 3 ⇒ three quarters).
+    /// 0 ⇒ nothing, 2 ⇒ half, 4 ⇒ all of them).
     pub cut_quarters: u8,
+    /// Whether later operations succeed after the fault fires.
+    pub survive: bool,
 }
 
 impl IoFaultPlan {
@@ -464,6 +468,7 @@ impl IoFaultPlan {
             fail_at_op,
             kind,
             cut_quarters: 2,
+            survive: false,
         }
     }
 
@@ -479,8 +484,9 @@ struct FaultState {
 }
 
 /// A [`MemStorage`] wrapper that injects one deterministic fault and
-/// then plays dead (see [`IoFaultPlan`]). [`FaultStorage::survivor`]
-/// yields the bytes a reboot would find.
+/// then plays dead, unless the plan is survivable (see
+/// [`IoFaultPlan`]). [`FaultStorage::survivor`] yields the bytes a
+/// reboot would find.
 #[derive(Debug)]
 pub struct FaultStorage {
     inner: MemStorage,
@@ -503,7 +509,8 @@ impl FaultStorage {
         }
     }
 
-    /// Whether the injected fault has fired yet.
+    /// Whether the injected fault has killed the storage (never, for a
+    /// survivable plan).
     pub fn crashed(&self) -> bool {
         self.state.lock().expect("fault state poisoned").dead
     }
@@ -529,7 +536,7 @@ impl FaultStorage {
         let op = state.ops;
         state.ops += 1;
         if op == self.plan.fail_at_op {
-            state.dead = true;
+            state.dead = !self.plan.survive;
             return Ok(Some(self.plan.kind));
         }
         Ok(None)
@@ -704,6 +711,22 @@ mod tests {
         // The survivor holds the clean append plus half the torn one.
         let survivor = storage.survivor();
         assert_eq!(survivor.read("a.log").unwrap().unwrap(), b"12345678ABCD");
+    }
+
+    #[test]
+    fn survivable_torn_write_fails_once_then_storage_keeps_working() {
+        let mut plan = IoFaultPlan::at(1, IoFaultKind::TornWrite);
+        plan.survive = true;
+        let storage = FaultStorage::new(plan);
+        storage.append("a.log", b"12345678").unwrap();
+        assert!(storage.append("a.log", b"ABCDEFGH").is_err());
+        assert!(!storage.crashed());
+        storage.truncate("a.log", 8).unwrap();
+        assert_eq!(storage.append("a.log", b"XY").unwrap(), 10);
+        assert_eq!(
+            storage.survivor().read("a.log").unwrap().unwrap(),
+            b"12345678XY"
+        );
     }
 
     #[test]

@@ -12,11 +12,15 @@
 //! 3. `fsck` on the recovered directory reports every project healthy;
 //! 4. ingestion continues from `v` and a further reopen sees it.
 //!
+//! A second sweep makes each fault survivable: the failed append
+//! persists half its frame or all of it, the process carries on, and
+//! recovery must equal the acknowledged batches event for event.
+//!
 //! Overload admission control is exercised at the end of the file over
 //! a real TCP server: a saturated work queue sheds with `503` +
 //! `Retry-After` while the server stays live.
 
-use nhpp_serve::registry::fsck;
+use nhpp_serve::registry::{fsck, RegistryError};
 use nhpp_serve::{
     client_request, client_request_full, DurabilityPolicy, FaultStorage, IoFaultKind, IoFaultPlan,
     MemStorage, ProjectConfig, Registry, Server, ServerConfig, Storage,
@@ -179,6 +183,131 @@ fn crash_points_under_aggressive_maintenance_recover_too() {
         },
         "aggressive",
     );
+}
+
+/// Runs the workload over a storage whose one fault is survivable: the
+/// process lives through the failed operation, retries a failed create
+/// once and skips a failed batch. It then stops without a shutdown
+/// snapshot, so recovery reads what the log holds. Returns the
+/// acknowledged batches.
+fn run_surviving(storage: Arc<dyn Storage>, policy: DurabilityPolicy) -> Vec<usize> {
+    let Ok(registry) = Registry::open_with(storage, policy) else {
+        return Vec::new();
+    };
+    if registry.create("chaos", config()).is_err() && registry.create("chaos", config()).is_err() {
+        return Vec::new();
+    }
+    let project = registry.get("chaos").expect("created above");
+    (0..BATCHES)
+        .filter(|&i| project.ingest(&batch_text(i)).is_ok())
+        .collect()
+}
+
+#[test]
+fn survivable_append_faults_recover_exactly_the_acknowledged_batches() {
+    let policies = [
+        (
+            DurabilityPolicy {
+                snapshot_every: 0,
+                compact_at_bytes: 0,
+            },
+            "manual",
+        ),
+        (
+            DurabilityPolicy {
+                snapshot_every: 2,
+                compact_at_bytes: 1,
+            },
+            "aggressive",
+        ),
+    ];
+    for (policy, policy_name) in policies {
+        // Every operation of the clean run, so every append is hit; a
+        // survivable fault elsewhere only fails the open or a snapshot.
+        for k in 0..count_ops(policy) {
+            // Half a frame persisted, or the whole frame persisted while
+            // the append still reported failure.
+            for cut_quarters in [2, 4] {
+                let plan = IoFaultPlan {
+                    cut_quarters,
+                    survive: true,
+                    ..IoFaultPlan::at(k, IoFaultKind::TornWrite)
+                };
+                let storage = Arc::new(FaultStorage::new(plan));
+                let acknowledged = run_surviving(storage.clone(), policy);
+                let context = format!("{policy_name}/survivable {cut_quarters}/4 @op{k}");
+                let survivor = Arc::new(storage.survivor());
+                // On the bytes as left, before replay truncates anything:
+                // the failed append was rolled back, so no torn or
+                // corrupt tail remains.
+                for entry in fsck(survivor.as_ref()).expect("fsck scans") {
+                    assert!(
+                        entry.healthy() && entry.torn_tail_bytes == 0,
+                        "{context}: log not rolled back: {entry:?}"
+                    );
+                }
+                let registry = Registry::open_with(survivor, DurabilityPolicy::default())
+                    .unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
+                let Some(project) = registry.get("chaos") else {
+                    assert!(
+                        acknowledged.is_empty(),
+                        "{context}: durable ingests vanished"
+                    );
+                    continue;
+                };
+                let times: Vec<f64> = acknowledged
+                    .iter()
+                    .map(|&i| 10.0 * i as f64 + 5.0)
+                    .collect();
+                assert_eq!(
+                    project.version() as usize,
+                    times.len(),
+                    "{context}: version"
+                );
+                assert_eq!(
+                    project.times_from(0).expect("times").1,
+                    times,
+                    "{context}: times"
+                );
+                if let Some(&i) = acknowledged.last() {
+                    let t_end = 10.0 * (i + 1) as f64;
+                    assert_eq!(project.summary().observation_end, t_end, "{context}: t_end");
+                }
+            }
+        }
+    }
+}
+
+/// When a failed append cannot be rolled back either (here the storage
+/// died with the append), the project refuses later appends with a
+/// typed error instead of writing behind the unrolled frame.
+#[test]
+fn failed_rollback_refuses_appends_until_reopen() {
+    // Op 0 lists the empty store, op 1 appends the config record, op 2
+    // is the first batch append.
+    for op in [1, 2] {
+        let storage = Arc::new(FaultStorage::new(IoFaultPlan::at(
+            op,
+            IoFaultKind::TornWrite,
+        )));
+        let registry =
+            Registry::open_with(storage.clone(), DurabilityPolicy::default()).expect("open");
+        let created = registry.create("chaos", config());
+        assert_eq!(created.is_err(), op == 1, "create at fault op {op}");
+        let project = registry.get("chaos").expect("the id stays registered");
+        if op == 2 {
+            assert!(matches!(
+                project.ingest(&batch_text(0)),
+                Err(RegistryError::Io(_))
+            ));
+        }
+        assert!(matches!(
+            project.ingest(&batch_text(1)),
+            Err(RegistryError::ReadOnly(_))
+        ));
+        assert_eq!(project.version(), 0);
+        assert_prefix_and_continue(Arc::new(storage.survivor()), 0, "read-only reopen");
+    }
 }
 
 #[test]
