@@ -19,10 +19,7 @@ use nhpp_models::prior::NhppPrior;
 use nhpp_models::{LogPosterior, ModelSpec, Posterior};
 use nhpp_numeric::quadrature::GaussLegendre;
 use nhpp_numeric::roots::bisect;
-use nhpp_special::{
-    exp_shift_inplace_x4, exp_shift_inplace_x8, log_sum_exp, log_sum_exp_x4, log_sum_exp_x8,
-    SimdDispatch, SimdPolicy, WIDE8_LANES, WIDE_LANES,
-};
+use nhpp_special::log_sum_exp;
 use std::cell::RefCell;
 
 thread_local! {
@@ -39,15 +36,6 @@ struct NintScratch {
     weights: Vec<f64>,
     values: Vec<f64>,
 }
-
-/// Grid-cell count below which [`SimdPolicy::Auto`] keeps the
-/// normalisation pass scalar. The lane kernels trade the libm
-/// exponential for a polynomial split that only pays when evaluations
-/// are amortised across solver iterations (the VB2 sweep); on a
-/// single streaming pass they measured ~1.5× *slower* at the default
-/// 200×200 grid, so the gate sits well above it. Forced policies
-/// bypass the gate entirely.
-pub const WIDE_AUTO_MIN_CELLS: usize = 1 << 20;
 
 /// Integration rectangle: `((ω_lo, ω_hi), (β_lo, β_hi))`.
 pub type Bounds = ((f64, f64), (f64, f64));
@@ -75,14 +63,6 @@ pub struct NintOptions {
     pub n_omega: usize,
     /// Gauss–Legendre points along the β axis.
     pub n_beta: usize,
-    /// SIMD lane policy of the grid reduction (the streaming
-    /// log-sum-exp and the normalising exponential pass).
-    /// [`SimdPolicy::Auto`] follows the process-wide dispatch once the
-    /// grid reaches [`WIDE_AUTO_MIN_CELLS`] cells and stays scalar
-    /// below it (lane packing loses on small single-pass reductions);
-    /// forcing a lane width reproduces a recorded fit bitwise at any
-    /// grid size.
-    pub lanes: SimdPolicy,
 }
 
 impl Default for NintOptions {
@@ -90,7 +70,6 @@ impl Default for NintOptions {
         NintOptions {
             n_omega: 200,
             n_beta: 200,
-            lanes: SimdPolicy::Auto,
         }
     }
 }
@@ -115,10 +94,6 @@ pub struct NintPosterior {
     /// Log of the normalising constant `∫∫ P(D|ω,β)P(ω,β) dω dβ` — the
     /// log marginal likelihood over the box.
     ln_norm: f64,
-    /// SIMD lane width the grid reduction ran at (`1` scalar,
-    /// `WIDE_LANES` wide) — pinned so a fit is reproducible on any
-    /// machine by forcing the same policy.
-    lane_width: usize,
 }
 
 impl NintPosterior {
@@ -166,39 +141,21 @@ impl NintPosterior {
                 *cell += ln_ww + lb;
             }
         }
-        // Lane packing does not pay for this single streaming pass at
-        // realistic grid sizes: the scalar reduction leans on the libm
-        // exponential while the lane kernels pay the polynomial-
-        // split-and-fixup price per element with no reuse to amortise
-        // it (measured ~0.85 ms scalar vs ~1.3 ms wide on the default
-        // 200×200 grid — the BENCH_7 `nint-fit` regression). `Auto`
-        // therefore stays scalar below [`WIDE_AUTO_MIN_CELLS`]; forced
-        // policies are always honoured, and the width that actually ran
-        // is pinned in the posterior either way, so recorded fits still
-        // replay bitwise.
-        let dispatch = match options.lanes {
-            SimdPolicy::Auto if cells.len() < WIDE_AUTO_MIN_CELLS => SimdDispatch::Scalar,
-            policy => policy.resolve(),
-        };
-        let ln_norm = match dispatch {
-            SimdDispatch::Scalar => log_sum_exp(&cells),
-            SimdDispatch::Wide4 => log_sum_exp_x4(&cells),
-            SimdDispatch::Wide8 => log_sum_exp_x8(&cells),
-        };
+        // One scalar pass each for the normaliser and the
+        // probabilities: lane kernels trade the libm exponential for a
+        // polynomial split that pays only when evaluations are
+        // amortised across solver iterations (the VB2 sweep), and on
+        // this single streaming pass they measured slower at every grid
+        // size (EXPERIMENTS.md, "One lane path").
+        let ln_norm = log_sum_exp(&cells);
         if !ln_norm.is_finite() {
             return Err(BayesError::IllPosed {
                 message: format!("posterior mass over box {bounds:?} is zero or non-finite"),
             });
         }
         let mut prob = cells;
-        match dispatch {
-            SimdDispatch::Scalar => {
-                for v in &mut prob {
-                    *v = (*v - ln_norm).exp();
-                }
-            }
-            SimdDispatch::Wide4 => exp_shift_inplace_x4(&mut prob, ln_norm),
-            SimdDispatch::Wide8 => exp_shift_inplace_x8(&mut prob, ln_norm),
+        for v in &mut prob {
+            *v = (*v - ln_norm).exp();
         }
         let mut marg_omega = vec![0.0; omega_nodes.len()];
         let mut marg_beta = vec![0.0; beta_nodes.len()];
@@ -219,25 +176,12 @@ impl NintPosterior {
             marg_omega,
             marg_beta,
             ln_norm,
-            lane_width: match dispatch {
-                SimdDispatch::Scalar => 1,
-                SimdDispatch::Wide4 => WIDE_LANES,
-                SimdDispatch::Wide8 => WIDE8_LANES,
-            },
         })
     }
 
     /// The integration rectangle in use.
     pub fn bounds(&self) -> Bounds {
         self.bounds
-    }
-
-    /// SIMD lane width the grid reduction ran at (`1` = scalar,
-    /// [`nhpp_special::WIDE_LANES`] or [`nhpp_special::WIDE8_LANES`] =
-    /// wide). Replaying a fit with the matching [`SimdPolicy`]
-    /// reproduces it bitwise on any machine.
-    pub fn lane_width(&self) -> usize {
-        self.lane_width
     }
 
     /// Log marginal likelihood (evidence) over the integration box.
@@ -571,7 +515,6 @@ mod tests {
             NintOptions {
                 n_omega: 80,
                 n_beta: 80,
-                ..NintOptions::default()
             },
         )
         .unwrap();
@@ -583,7 +526,6 @@ mod tests {
             NintOptions {
                 n_omega: 320,
                 n_beta: 320,
-                ..NintOptions::default()
             },
         )
         .unwrap();
@@ -647,7 +589,6 @@ mod tests {
                 NintOptions {
                     n_omega: 2,
                     n_beta: 2,
-                    ..NintOptions::default()
                 }
             ),
             Err(BayesError::InvalidOption { .. })
@@ -682,53 +623,6 @@ mod tests {
         }
         assert!(NintPosterior::marginal_quantile(&nodes, &masses, lo, hi, -0.1).is_nan());
         assert!(NintPosterior::marginal_quantile(&nodes, &masses, lo, hi, 1.1).is_nan());
-    }
-
-    #[test]
-    fn forced_lane_widths_agree_and_are_pinned() {
-        let data: ObservedData = sys17::failure_times().into();
-        let spec = ModelSpec::goel_okumoto();
-        let prior = NhppPrior::paper_info_times();
-        let lap = LaplacePosterior::fit(spec, prior, &data).unwrap();
-        let bounds = bounds_from_posterior(&lap);
-        let fit = |lanes| {
-            NintPosterior::fit(
-                spec,
-                prior,
-                &data,
-                bounds,
-                NintOptions {
-                    lanes,
-                    ..NintOptions::default()
-                },
-            )
-            .unwrap()
-        };
-        let scalar = fit(SimdPolicy::ForceScalar);
-        let wide = fit(SimdPolicy::ForceWide);
-        let wide8 = fit(SimdPolicy::ForceWide8);
-        assert_eq!(scalar.lane_width(), 1);
-        assert_eq!(wide.lane_width(), WIDE_LANES);
-        assert_eq!(wide8.lane_width(), WIDE8_LANES);
-        // The reductions differ only by ulp-level regrouping.
-        for other in [&wide, &wide8] {
-            assert!(
-                (scalar.mean_omega() - other.mean_omega()).abs()
-                    < 1e-12 * scalar.mean_omega()
-            );
-            assert!((scalar.log_evidence() - other.log_evidence()).abs() < 1e-10);
-        }
-        // Each width reproduces itself bitwise on a repeat fit.
-        for (first, policy) in [(&wide, SimdPolicy::ForceWide), (&wide8, SimdPolicy::ForceWide8)]
-        {
-            let second = fit(policy);
-            assert_eq!(first.mean_omega().to_bits(), second.mean_omega().to_bits());
-            assert_eq!(first.ln_norm.to_bits(), second.ln_norm.to_bits());
-            assert_eq!(first.prob.len(), second.prob.len());
-            for (a, b) in first.prob.iter().zip(&second.prob) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
     }
 
     #[test]

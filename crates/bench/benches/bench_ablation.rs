@@ -77,7 +77,6 @@ fn bench_nint_grid(c: &mut Criterion) {
         let options = NintOptions {
             n_omega: n,
             n_beta: n,
-            ..NintOptions::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {

@@ -2,9 +2,10 @@
 //!
 //! `bench_report run` times the same workloads as the Criterion
 //! `vb2-sweep` / `nint-fit` / `vb2-parallel` groups, plus the posterior
-//! reliability functionals, marginal quantiles and the registry's
-//! long-history append and replay, with plain `Instant` medians (no
-//! harness, CI-friendly) and writes a `BENCH_*.json` report;
+//! reliability functionals, the predictive failure counts, marginal
+//! quantiles and the registry's long-history append and replay, with
+//! plain `Instant` medians (no harness, CI-friendly) and writes a
+//! `BENCH_*.json` report;
 //! `bench_report compare` gates a new report against a previous one.
 //!
 //! ```text
@@ -244,6 +245,11 @@ fn run(args: &[String]) -> ExitCode {
     });
     record(&mut metrics, "reliability-interval", samples, || {
         warm.reliability_interval(sys17::T_END, mission, 0.9)
+    });
+    // predict: the `/predict` route's predictive failure-count pmf over
+    // the same window, on the warm posterior.
+    record(&mut metrics, "predict", samples, || {
+        warm.predictive_failures(sys17::T_END, mission).unwrap()
     });
 
     // credible-interval: the ω and β 0.95 equal-tail intervals and their

@@ -109,12 +109,8 @@ impl Scenario {
             // the VB2 view of the improper posterior comparable to the
             // box-truncated NINT view (see EXPERIMENTS.md for the
             // cap-sensitivity sweep).
-            let cap = (5 * self.data.total_count() as u64).max(100);
             Vb2Options {
-                truncation: Truncation::AdaptiveCapped {
-                    epsilon: 5e-15,
-                    cap,
-                },
+                truncation: Truncation::flat_prior(self.data.total_count() as u64),
                 ..Vb2Options::default()
             }
         } else {

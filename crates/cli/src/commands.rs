@@ -312,10 +312,7 @@ fn parse_prior(args: &ParsedArgs) -> Result<NhppPrior, CliError> {
 /// priors, whose exact posterior over N is improper).
 fn vb2_options(prior: &NhppPrior, data: &ObservedData, threads: usize) -> Vb2Options {
     let truncation = if prior.omega.is_flat() || prior.beta.is_flat() {
-        Truncation::AdaptiveCapped {
-            epsilon: 5e-15,
-            cap: (5 * data.total_count() as u64).max(100),
-        }
+        Truncation::flat_prior(data.total_count() as u64)
     } else {
         Truncation::default()
     };

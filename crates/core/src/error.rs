@@ -17,8 +17,10 @@ pub enum VbError {
         /// Iterations performed.
         iterations: usize,
     },
-    /// The adaptive truncation grew past its hard cap without satisfying
-    /// the tail tolerance `Pᵥ(n_max) < ε`.
+    /// A truncation reached its cap without satisfying its tail
+    /// tolerance: the adaptive `N` range grew past the hard cap with
+    /// `Pᵥ(n_max) ≥ ε` (or its first range already exceeded the cap),
+    /// or a predictive pmf reached its support cap.
     TruncationOverflow {
         /// The cap that was reached.
         cap: u64,

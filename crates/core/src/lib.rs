@@ -59,7 +59,6 @@ pub mod empirical_bayes;
 mod endpoint;
 mod error;
 pub mod fault;
-pub mod model_average;
 pub mod prediction;
 pub mod reliability;
 pub mod robust;
@@ -70,7 +69,6 @@ mod vb2;
 pub use calibration::{Calibration, CalibrationDictionary, CalibrationEntry};
 pub use error::VbError;
 pub use fault::{FaultKind, FaultPlan};
-pub use model_average::AveragedPosterior;
 pub use robust::{
     fit_many_supervised, fit_many_supervised_warm, fit_supervised, fit_supervised_warm,
     FailureKind, FitFailure, FitReport, RetryPolicy, RobustFit, RobustOptions, RobustPosterior,
@@ -81,6 +79,6 @@ pub use vb2::{
     SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Scratch, Vb2Task, Vb2WarmStart,
 };
 // The lane-dispatch vocabulary travels with the fit options that use it.
-pub use nhpp_special::{SimdDispatch, SimdPolicy, WIDE8_LANES, WIDE_LANES};
+pub use nhpp_special::{SimdDispatch, SimdPolicy, WIDE_LANES};
 #[doc(hidden)]
 pub use vb2::zeta_probe;

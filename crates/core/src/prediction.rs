@@ -29,13 +29,20 @@ const K_CAP: usize = 100_000;
 
 /// Computes the posterior-predictive distribution of the number of
 /// failures in `(t, t+u]` under a Gamma-product-mixture posterior,
-/// truncating once the accumulated mass exceeds `1 − tail_tol`.
+/// truncating once the accumulated mass reaches `1 − tail_tol` of the
+/// total cell weight. The stop is relative because the β-table cells
+/// hold slightly less than unit mass (their rows span the inner
+/// quantiles only), so an absolute `1 − tail_tol` target could sit
+/// above everything the cells can ever deliver.
 ///
 /// # Errors
 ///
 /// [`VbError::InvalidOption`] for non-positive `u` or `tail_tol`;
 /// [`VbError::DegenerateWeights`] if the quadrature produces no mass
-/// (cannot happen for valid mixtures).
+/// (cannot happen for valid mixtures);
+/// [`VbError::TruncationOverflow`] if the stop is not reached within
+/// the `K_CAP = 100 000` pmf entries (a window expecting that many
+/// failures), rather than a silently truncated pmf.
 pub fn predictive_counts(
     mixture: &GammaProductMixture,
     spec: ModelSpec,
@@ -90,21 +97,26 @@ pub fn predictive_counts(
         });
     }
 
+    let total: f64 = cells.iter().map(|cell| cell.weight).sum();
+    let target = (1.0 - tail_tol) * total;
     let mut pmf = Vec::with_capacity(64);
     let mut cumulative = 0.0;
     for k in 0..=K_CAP {
         let mass: f64 = cells.iter().map(|cell| cell.weight * cell.value).sum();
         pmf.push(mass);
         cumulative += mass;
-        if cumulative >= 1.0 - tail_tol {
-            break;
+        if cumulative >= target {
+            return PredictiveCounts::from_pmf(pmf).map_err(VbError::from);
         }
         // Advance every cell's NB pmf to k+1.
         for cell in &mut cells {
             cell.value *= (cell.shape + k as f64) / (k as f64 + 1.0) * cell.one_minus_p;
         }
     }
-    PredictiveCounts::from_pmf(pmf).map_err(VbError::from)
+    Err(VbError::TruncationOverflow {
+        cap: K_CAP as u64,
+        tail_mass: 1.0 - cumulative / total,
+    })
 }
 
 #[cfg(test)]
@@ -160,6 +172,27 @@ mod tests {
             pred.variance(),
             pred.mean()
         );
+    }
+
+    #[test]
+    fn window_beyond_the_pmf_cap_is_an_error_not_a_truncation() {
+        // ω ~ Gamma(1, mean 2·10⁵) over a window covering all of G: the
+        // predictive is geometric with mean 2·10⁵, so about 60% of its
+        // mass lies past K_CAP and no honest truncation exists there.
+        let mixture = GammaProductMixture::new(vec![MixtureComponent {
+            weight: 1.0,
+            omega: Gamma::new(1.0, 5e-6).unwrap(),
+            beta: Gamma::new(1e6, 1e10).unwrap(), // β ≈ 1e-4
+        }])
+        .unwrap();
+        let spec = ModelSpec::goel_okumoto();
+        match predictive_counts(&mixture, spec, 0.0, 1e7, 1e-10) {
+            Err(VbError::TruncationOverflow { cap, tail_mass }) => {
+                assert_eq!(cap, K_CAP as u64);
+                assert!(tail_mass > 0.5 && tail_mass < 0.7, "tail mass {tail_mass}");
+            }
+            other => panic!("expected TruncationOverflow, got {other:?}"),
+        }
     }
 
     #[test]

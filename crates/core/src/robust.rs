@@ -220,9 +220,8 @@ pub struct FitReport {
     /// Degradations and accommodations the caller should know about.
     pub warnings: Vec<String>,
     /// SIMD lane width of the sweep that produced the posterior
-    /// (`nhpp_special::WIDE_LANES` or `nhpp_special::WIDE8_LANES` when
-    /// a wide VB2 path ran, `1` for scalar sweeps and for the
-    /// VB1/Laplace fallbacks). Recording it
+    /// (`nhpp_special::WIDE_LANES` when the wide VB2 path ran, `1` for
+    /// scalar sweeps and for the VB1/Laplace fallbacks). Recording it
     /// here makes a supervised fit reproducible on any machine: replay
     /// with the matching [`crate::SimdPolicy`] and the sweep is
     /// bitwise identical.

@@ -56,7 +56,7 @@ use nhpp_numeric::{parallel, Budget, NumericError, SharedBudget};
 use crate::endpoint::{ln_mass_between, mean_from_masses, tail_mean_from_masses_lane, Endpoint};
 use nhpp_special::{
     ln_factorial, ln_gamma, LnGammaLadder, SimdDispatch, SimdPolicy, StreamingLogSumExp,
-    WIDE8_LANES, WIDE_LANES,
+    WIDE_LANES,
 };
 use std::cell::RefCell;
 use std::time::Duration;
@@ -129,6 +129,20 @@ impl Default for Truncation {
     }
 }
 
+impl Truncation {
+    /// The capped policy for a flat (NoInfo) prior over `observed`
+    /// failures: `n_max` grows to at most five times the observed count
+    /// (and at least 100), saturating at `u64::MAX`. The CLI, the
+    /// service and the bench scenarios all truncate flat-prior fits
+    /// here (see `EXPERIMENTS.md` for the cap-sensitivity sweep).
+    pub fn flat_prior(observed: u64) -> Truncation {
+        Truncation::AdaptiveCapped {
+            epsilon: 5e-15,
+            cap: observed.saturating_mul(5).max(100),
+        }
+    }
+}
+
 /// Options for the VB2 fit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Vb2Options {
@@ -162,8 +176,8 @@ pub struct Vb2Options {
     /// the robustness tests; `None` in production).
     pub fault: Option<FaultKind>,
     /// Lane policy for the component sweep's kernels: follow the
-    /// process-wide dispatch (`NHPP_SIMD`), or force the scalar,
-    /// 4-lane, or 8-lane path. The width actually used is pinned into
+    /// process-wide dispatch (`NHPP_SIMD`), or force the scalar or the
+    /// 4-lane path. The width actually used is pinned into
     /// the result ([`Vb2Posterior::lane_width`]); forcing it reproduces
     /// a recorded run bitwise on any machine. The wide path engages
     /// only where the sweep supports it — iterative substitution
@@ -530,7 +544,7 @@ pub struct Vb2Posterior {
     elbo: f64,
     n_max: u64,
     inner_iterations: usize,
-    /// Kernel lane width the sweep ran on (1 = scalar, 4/8 = wide).
+    /// Kernel lane width the sweep ran on (1 = scalar, 4 = wide).
     lane_width: usize,
 }
 
@@ -541,7 +555,9 @@ impl Vb2Posterior {
     ///
     /// * [`VbError::InvalidOption`] for non-positive tolerances.
     /// * [`VbError::TruncationOverflow`] if the adaptive growth hits
-    ///   `hard_cap` while `Pᵥ(n_max) >= ε`.
+    ///   `hard_cap` while `Pᵥ(n_max) >= ε`, or — before any sweep
+    ///   buffer is sized — if the first candidate range overflows `u64`
+    ///   or holds more than `hard_cap` components.
     /// * [`VbError::NoConvergence`] if an inner fixed point stalls.
     /// * [`VbError::DegenerateWeights`] if every weight collapses.
     pub fn fit(
@@ -700,15 +716,30 @@ impl Vb2Posterior {
         // once, in `N` order, so the normaliser needs no per-round
         // recollection and is independent of the thread count.
         let mut acc = StreamingLogSumExp::new();
-        let mut n_hi = match options.truncation {
-            Truncation::Adaptive { .. } | Truncation::AdaptiveCapped { .. } => (2 * m).max(m + 50),
+        let first_hi = match options.truncation {
+            Truncation::Adaptive { .. } | Truncation::AdaptiveCapped { .. } => m
+                .checked_mul(2)
+                .zip(m.checked_add(50))
+                .map(|(double, pad)| double.max(pad)),
             Truncation::Fixed { n_max } => {
                 if n_max < m {
                     return Err(VbError::InvalidOption {
                         message: "n_max must be at least m",
                     });
                 }
-                n_max
+                Some(n_max)
+            }
+        };
+        // Bound the first candidate range before sizing any buffer for
+        // it: a range whose end overflows `u64`, or that holds more than
+        // `hard_cap` components, could never be swept.
+        let mut n_hi = match first_hi {
+            Some(n_hi) if n_hi - m < options.hard_cap => n_hi,
+            _ => {
+                return Err(VbError::TruncationOverflow {
+                    cap: options.hard_cap,
+                    tail_mass: 1.0,
+                })
             }
         };
 
@@ -1155,8 +1186,8 @@ fn wide_sweep_kind(ctx: &FitContext) -> Option<LaneKind> {
     }
 }
 
-/// Whether the component sweep runs on the wide kernels (any lane map,
-/// any wide width) — the gate behind the pinned
+/// Whether the component sweep runs on the wide kernels (any lane
+/// map) — the gate behind the pinned
 /// [`Vb2Posterior::lane_width`].
 fn wide_sweep_eligible(ctx: &FitContext) -> bool {
     wide_sweep_kind(ctx).is_some()
@@ -1269,9 +1300,9 @@ fn solve_chunk(
     let mut ladder_b = ctx
         .b_stride
         .map(|_| LnGammaLadder::new(ctx.a_b + n0 as f64 * ctx.alpha0));
-    // Lane-parallel sweep: whole blocks of consecutive `N` (4 or 8
-    // wide, per the resolved dispatch) solve their fixed points side
-    // by side in struct-of-arrays form; the ragged tail (and any
+    // Lane-parallel sweep: whole blocks of [`WIDE_LANES`] consecutive
+    // `N` solve their fixed points side by side in struct-of-arrays
+    // form; the ragged tail (and any
     // ineligible fit) takes the scalar loop below, which continues
     // from the same ladder and warm-chain state. Block staging lives
     // in registers; results fold back into the array-of-structs
@@ -1279,15 +1310,9 @@ fn solve_chunk(
     // and therefore thread-count determinism) is unchanged.
     let mut idx = 0;
     if let Some(kind) = wide_sweep_kind(ctx) {
-        idx = match ctx.dispatch {
-            SimdDispatch::Wide8 => solve_lane_blocks::<WIDE8_LANES>(
-                ctx, kind, ns, out, &mut warm_xi, &mut ladder_a, &mut ladder_b, shared,
-            )?,
-            SimdDispatch::Wide4 => solve_lane_blocks::<WIDE_LANES>(
-                ctx, kind, ns, out, &mut warm_xi, &mut ladder_a, &mut ladder_b, shared,
-            )?,
-            SimdDispatch::Scalar => unreachable!("guarded by wide_sweep_kind"),
-        };
+        idx = solve_lane_blocks::<WIDE_LANES>(
+            ctx, kind, ns, out, &mut warm_xi, &mut ladder_a, &mut ladder_b, shared,
+        )?;
     }
     for (&n, slot) in ns[idx..].iter().zip(out[idx..].iter_mut()) {
         let ln_gamma_a = ladder_a.value();
@@ -2359,6 +2384,30 @@ mod tests {
     }
 
     #[test]
+    fn flat_prior_cap_saturates_instead_of_overflowing() {
+        assert_eq!(
+            Truncation::flat_prior(38),
+            Truncation::AdaptiveCapped {
+                epsilon: 5e-15,
+                cap: 190,
+            }
+        );
+        for observed in [u64::MAX / 5 + 1, u64::MAX] {
+            assert_eq!(
+                Truncation::flat_prior(observed),
+                Truncation::AdaptiveCapped {
+                    epsilon: 5e-15,
+                    cap: u64::MAX,
+                }
+            );
+        }
+        assert!(matches!(
+            Truncation::flat_prior(3),
+            Truncation::AdaptiveCapped { cap: 100, .. }
+        ));
+    }
+
+    #[test]
     fn widened_gate_reports_lane_width_for_grouped_and_dss_sweeps() {
         // The PR-8 gate: grouped counts at α₀ = 1 and failure times at
         // integer α₀ ≥ 2 both take the lanes, and agree with the scalar
@@ -2394,17 +2443,6 @@ mod tests {
             )
             .unwrap();
             assert_eq!(wide.lane_width(), WIDE_LANES, "{label}");
-            let wide8 = Vb2Posterior::fit(
-                spec,
-                prior,
-                data,
-                Vb2Options {
-                    lanes: SimdPolicy::ForceWide8,
-                    ..base
-                },
-            )
-            .unwrap();
-            assert_eq!(wide8.lane_width(), nhpp_special::WIDE8_LANES, "{label}");
             let scalar = Vb2Posterior::fit(
                 spec,
                 prior,
@@ -2416,16 +2454,13 @@ mod tests {
             )
             .unwrap();
             assert_eq!(scalar.lane_width(), 1, "{label}");
-            for other in [&wide, &wide8] {
-                assert!(
-                    (other.mean_omega() - scalar.mean_omega()).abs()
-                        < 1e-8 * scalar.mean_omega(),
-                    "{label}: {} vs {}",
-                    other.mean_omega(),
-                    scalar.mean_omega()
-                );
-                assert!((other.elbo() - scalar.elbo()).abs() < 1e-6, "{label}");
-            }
+            assert!(
+                (wide.mean_omega() - scalar.mean_omega()).abs() < 1e-8 * scalar.mean_omega(),
+                "{label}: {} vs {}",
+                wide.mean_omega(),
+                scalar.mean_omega()
+            );
+            assert!((wide.elbo() - scalar.elbo()).abs() < 1e-6, "{label}");
         }
     }
 

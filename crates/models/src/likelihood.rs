@@ -17,7 +17,7 @@ use crate::spec::ModelSpec;
 use nhpp_data::{FailureTimeData, GroupedData, ObservedData};
 use nhpp_dist::{Continuous, Gamma};
 use nhpp_numeric::linalg::SymMat2;
-use nhpp_special::{ln_factorial, ln_gamma, F64x4, F64x8, WIDE8_LANES, WIDE_LANES};
+use nhpp_special::{ln_factorial, ln_gamma};
 
 /// `∂G(t; α₀, β)/∂β = (βt)^{α₀} e^{−βt} / (β·Γ(α₀))` for `t >= 0` — the
 /// β-sensitivity of the gamma CDF, used by score equations and by the
@@ -166,7 +166,7 @@ impl<'a> LogPosterior<'a> {
             })
             .collect();
         // `B(β)` and `−G(t_e; β)` per β node, in struct-of-arrays form
-        // so the cell loop below streams both factors lane-contiguous.
+        // so the cell loop below streams both factors contiguously.
         let mut b_terms = Vec::with_capacity(betas.len());
         let mut neg_g = Vec::with_capacity(betas.len());
         for &b in betas {
@@ -199,34 +199,7 @@ impl<'a> LogPosterior<'a> {
             .zip(omegas)
             .zip(&a_of_omega)
         {
-            // Fused multiply-adds eight, then four, then one at a
-            // time; the lane-wise `mul_add` is bitwise the scalar
-            // `f64::mul_add`, so every tier and the remainder loop
-            // agree exactly per cell.
-            let w8 = F64x8::splat(w);
-            let a8 = F64x8::splat(a);
-            let mut cells8 = row.chunks_exact_mut(WIDE8_LANES);
-            let mut bs8 = b_terms.chunks_exact(WIDE8_LANES);
-            let mut gs8 = neg_g.chunks_exact(WIDE8_LANES);
-            for ((cell, b), g) in (&mut cells8).zip(&mut bs8).zip(&mut gs8) {
-                let v = w8.mul_add(F64x8::from_slice(g), a8 + F64x8::from_slice(b));
-                cell.copy_from_slice(&v.to_array());
-            }
-            let w4 = F64x4::splat(w);
-            let a4 = F64x4::splat(a);
-            let mut cells = cells8.into_remainder().chunks_exact_mut(WIDE_LANES);
-            let mut bs = bs8.remainder().chunks_exact(WIDE_LANES);
-            let mut gs = gs8.remainder().chunks_exact(WIDE_LANES);
-            for ((cell, b), g) in (&mut cells).zip(&mut bs).zip(&mut gs) {
-                let v = w4.mul_add(F64x4::from_slice(g), a4 + F64x4::from_slice(b));
-                cell.copy_from_slice(&v.to_array());
-            }
-            for ((cell, &b_term), &g) in cells
-                .into_remainder()
-                .iter_mut()
-                .zip(bs.remainder())
-                .zip(gs.remainder())
-            {
+            for ((cell, &b_term), &g) in row.iter_mut().zip(&b_terms).zip(&neg_g) {
                 *cell = w.mul_add(g, a + b_term);
             }
         }

@@ -2,7 +2,7 @@
 //!
 //! Everything a Bayesian NHPP estimator needs and nothing more:
 //!
-//! * [`roots`] — bisection, Brent's method and safeguarded Newton for the
+//! * [`roots`] — bisection and safeguarded Newton for the
 //!   one-dimensional root problems that appear in quantile inversion and
 //!   reliability-bound computation;
 //! * [`fixed_point`] — plain and Aitken-accelerated successive substitution
@@ -20,10 +20,10 @@
 //! # Example
 //!
 //! ```
-//! use nhpp_numeric::roots::brent;
+//! use nhpp_numeric::roots::bisect;
 //!
 //! # fn main() -> Result<(), nhpp_numeric::NumericError> {
-//! let root = brent(|x| x * x - 2.0, 0.0, 2.0, 1e-13, 100)?;
+//! let root = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-13, 100)?;
 //! assert!((root - 2.0f64.sqrt()).abs() < 1e-12);
 //! # Ok(())
 //! # }

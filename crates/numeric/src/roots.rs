@@ -1,11 +1,11 @@
-//! One-dimensional root finding: bisection, Brent and safeguarded Newton.
+//! One-dimensional root finding: bisection and safeguarded Newton.
 
 use crate::NumericError;
 
 /// Finds a root of `f` in `[a, b]` by plain bisection.
 ///
-/// Robust but linearly convergent; use [`brent`] unless you specifically
-/// need the predictable bisection behaviour.
+/// Robust but linearly convergent; use [`newton_bracketed`] where the
+/// derivative is cheap.
 ///
 /// # Errors
 ///
@@ -65,120 +65,6 @@ pub fn bisect<F: FnMut(f64) -> f64>(
     }
     Err(NumericError::MaxIterations {
         best: 0.5 * (a + b),
-        iterations: max_iter,
-    })
-}
-
-/// Finds a root of `f` in `[a, b]` using Brent's method (inverse quadratic
-/// interpolation with bisection safeguards). Superlinear convergence with
-/// bisection robustness; the workhorse for quantile inversion.
-///
-/// # Errors
-///
-/// Same contract as [`bisect`].
-///
-/// # Example
-///
-/// ```
-/// use nhpp_numeric::roots::brent;
-/// # fn main() -> Result<(), nhpp_numeric::NumericError> {
-/// let r = brent(|x| x.cos() - x, 0.0, 1.0, 1e-14, 100)?;
-/// assert!((r - 0.739_085_133_215_160_6).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-pub fn brent<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a0: f64,
-    b0: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64, NumericError> {
-    let mut a = a0;
-    let mut b = b0;
-    let mut fa = f(a);
-    let mut fb = f(b);
-    if fa.is_nan() || fb.is_nan() {
-        return Err(NumericError::NonFinite {
-            context: "brent endpoint evaluation",
-        });
-    }
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(NumericError::NoBracket { fa, fb });
-    }
-    let mut c = a;
-    let mut fc = fa;
-    let mut d = b - a;
-    let mut e = d;
-    for _ in 0..max_iter {
-        if fb.abs() > fc.abs() {
-            // Ensure b is the best iterate.
-            a = b;
-            b = c;
-            c = a;
-            fa = fb;
-            fb = fc;
-            fc = fa;
-        }
-        let tol1 = 2.0 * f64::EPSILON * b.abs() + 0.5 * tol;
-        let xm = 0.5 * (c - b);
-        if xm.abs() <= tol1 || fb == 0.0 {
-            return Ok(b);
-        }
-        if e.abs() >= tol1 && fa.abs() > fb.abs() {
-            // Attempt inverse quadratic interpolation / secant.
-            let s = fb / fa;
-            let (mut p, mut q) = if a == c {
-                (2.0 * xm * s, 1.0 - s)
-            } else {
-                let q = fa / fc;
-                let r = fb / fc;
-                (
-                    s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0)),
-                    (q - 1.0) * (r - 1.0) * (s - 1.0),
-                )
-            };
-            if p > 0.0 {
-                q = -q;
-            }
-            p = p.abs();
-            let min1 = 3.0 * xm * q - (tol1 * q).abs();
-            let min2 = (e * q).abs();
-            if 2.0 * p < min1.min(min2) {
-                e = d;
-                d = p / q;
-            } else {
-                d = xm;
-                e = d;
-            }
-        } else {
-            d = xm;
-            e = d;
-        }
-        a = b;
-        fa = fb;
-        b += if d.abs() > tol1 { d } else { tol1.copysign(xm) };
-        fb = f(b);
-        if fb.is_nan() {
-            return Err(NumericError::NonFinite {
-                context: "brent iterate evaluation",
-            });
-        }
-        if (fb > 0.0) == (fc > 0.0) {
-            c = a;
-            fc = fa;
-            d = b - a;
-            e = d;
-        }
-    }
-    Err(NumericError::MaxIterations {
-        best: b,
         iterations: max_iter,
     })
 }
@@ -325,27 +211,6 @@ mod tests {
     fn bisect_exact_endpoint() {
         assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12, 10).unwrap(), 0.0);
         assert_eq!(bisect(|x| x - 1.0, 0.0, 1.0, 1e-12, 10).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn brent_matches_known_roots() {
-        let r = brent(|x| x.cos() - x, 0.0, 1.0, 1e-15, 100).unwrap();
-        assert!((r - 0.739_085_133_215_160_6).abs() < 1e-12);
-        let r = brent(|x| x.exp() - 5.0, 0.0, 10.0, 1e-14, 100).unwrap();
-        assert!((r - 5.0f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn brent_hard_flat_function() {
-        // x^9 is very flat near the root.
-        let r = brent(|x| x.powi(9), -1.0, 1.5, 1e-12, 200).unwrap();
-        assert!(r.abs() < 1e-2);
-    }
-
-    #[test]
-    fn brent_rejects_bad_bracket() {
-        let err = brent(|x| x * x + 0.5, -1.0, 1.0, 1e-12, 100).unwrap_err();
-        assert!(matches!(err, NumericError::NoBracket { .. }));
     }
 
     #[test]

@@ -120,10 +120,7 @@ fn tuned_options(
     let mut options = settings.options;
     options.total_deadline = settings.deadline;
     if prior.omega.is_flat() || prior.beta.is_flat() {
-        options.base.truncation = Truncation::AdaptiveCapped {
-            epsilon: 5e-15,
-            cap: (5 * data.total_count() as u64).max(100),
-        };
+        options.base.truncation = Truncation::flat_prior(data.total_count() as u64);
     }
     options
 }

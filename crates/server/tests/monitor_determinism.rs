@@ -120,11 +120,7 @@ fn run(lanes: SimdPolicy, threads: usize) -> (Vec<u8>, u64, String) {
 
 #[test]
 fn chart_journals_are_bitwise_identical_across_thread_counts() {
-    for (lanes, width) in [
-        (SimdPolicy::ForceScalar, 1u64),
-        (SimdPolicy::ForceWide, 4),
-        (SimdPolicy::ForceWide8, 8),
-    ] {
+    for (lanes, width) in [(SimdPolicy::ForceScalar, 1u64), (SimdPolicy::ForceWide, 4)] {
         let (reference, alerts, body) = run(lanes, 1);
         assert_eq!(alerts, 2, "{lanes:?}");
         assert!(
@@ -159,11 +155,11 @@ fn recorded_lane_width_replays_bitwise() {
     let (scalar, _, _) = run(SimdPolicy::ForceScalar, 2);
     let (scalar_again, _, _) = run(SimdPolicy::ForceScalar, 4);
     assert_eq!(scalar, scalar_again, "scalar replay must be bitwise");
-    let (wide8, _, _) = run(SimdPolicy::ForceWide8, 2);
-    let (wide8_again, _, _) = run(SimdPolicy::ForceWide8, 4);
-    assert_eq!(wide8, wide8_again, "wide8 replay must be bitwise");
+    let (wide, _, _) = run(SimdPolicy::ForceWide, 2);
+    let (wide_again, _, _) = run(SimdPolicy::ForceWide, 4);
+    assert_eq!(wide, wide_again, "wide replay must be bitwise");
     let text_scalar = String::from_utf8_lossy(&scalar).to_string();
-    let text_wide8 = String::from_utf8_lossy(&wide8).to_string();
+    let text_wide = String::from_utf8_lossy(&wide).to_string();
     assert!(text_scalar.contains(" 1 "), "scalar provenance recorded");
-    assert!(text_wide8.contains(" 8 "), "wide8 provenance recorded");
+    assert!(text_wide.contains(" 4 "), "wide provenance recorded");
 }

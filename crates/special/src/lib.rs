@@ -53,8 +53,5 @@ pub use recurrence::{
 };
 pub use normal::{norm_cdf, norm_ln_pdf, norm_pdf, norm_ppf, norm_sf};
 pub use wide::{
-    active_simd, exp_lane, exp_shift_inplace_wide, exp_shift_inplace_x4, exp_shift_inplace_x8,
-    ln_gamma_ladder_x4, ln_gamma_p_step_x4, ln_gamma_q_step_lane, ln_gamma_q_step_x4,
-    log_sum_exp_wide, log_sum_exp_x4, log_sum_exp_x8, F64x4, F64x8, SimdDispatch, SimdPolicy,
-    StreamingLogSumExpX4, WIDE8_LANES, WIDE_LANES,
+    active_simd, exp_lane, ln_gamma_q_step_lane, SimdDispatch, SimdPolicy, WIDE_LANES,
 };

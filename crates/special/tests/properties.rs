@@ -169,52 +169,26 @@ proptest! {
         prop_assert_eq!(ln_q.to_bits(), ln_gamma_q_given(a, x, gln).to_bits());
     }
 
-    /// The four-lane P-step is bitwise the scalar P-step on every lane —
-    /// including the cancellation-guard *decision* (recurrence vs direct
-    /// re-derivation), which must not depend on the lane width, across
-    /// the full shape range out to the extreme-scale seam.
+    /// The lane Q-step agrees with the scalar Q-step within the same
+    /// cancelled-increment tolerance the sweep relies on, across the
+    /// full shape range (the lane path trades bitwise identity for lane
+    /// throughput here — the sweep pins which one ran).
     #[test]
-    fn p_step_x4_guard_decisions_are_bitwise_scalar(
+    fn q_step_lane_tracks_scalar(
         a in 0.05f64..20_000.0,
         fracs in (1e-3f64..5.0, 1e-3f64..5.0, 1e-3f64..5.0, 1e-3f64..5.0)
     ) {
         let gln1 = ln_gamma(a + 1.0);
-        let fracs = [fracs.0, fracs.1, fracs.2, fracs.3];
-        let xs: [f64; 4] = std::array::from_fn(|i| a * fracs[i]);
-        let lps: [f64; 4] = std::array::from_fn(|i| ln_gamma_p(a, xs[i]));
-        let x = F64x4(xs);
-        let wide = ln_gamma_p_step_x4(F64x4::splat(a), x, x.ln(), F64x4(lps), F64x4::splat(gln1));
-        for i in 0..WIDE_LANES {
-            let scalar = ln_gamma_p_step(a, xs[i], xs[i].ln(), lps[i], gln1);
-            prop_assert!(
-                wide.0[i].to_bits() == scalar.to_bits(),
-                "a={}, x={}: wide={}, scalar={}", a, xs[i], wide.0[i], scalar
-            );
-        }
-    }
-
-    /// The four-lane Q-step agrees with the scalar Q-step within the
-    /// same cancelled-increment tolerance the sweep relies on, across
-    /// the full shape range (the wide path trades bitwise identity for
-    /// lane throughput here — the sweep pins which one ran).
-    #[test]
-    fn q_step_x4_tracks_scalar(
-        a in 0.05f64..20_000.0,
-        fracs in (1e-3f64..5.0, 1e-3f64..5.0, 1e-3f64..5.0, 1e-3f64..5.0)
-    ) {
-        let gln1 = ln_gamma(a + 1.0);
-        let fracs = [fracs.0, fracs.1, fracs.2, fracs.3];
-        let xs: [f64; 4] = std::array::from_fn(|i| a * fracs[i]);
-        let lqs: [f64; 4] = std::array::from_fn(|i| ln_gamma_q(a, xs[i]));
-        let x = F64x4(xs);
-        let wide = ln_gamma_q_step_x4(F64x4::splat(a), x, x.ln(), F64x4(lqs), F64x4::splat(gln1));
-        for i in 0..WIDE_LANES {
-            let scalar = ln_gamma_q_step(a, xs[i], xs[i].ln(), lqs[i], gln1);
+        for frac in [fracs.0, fracs.1, fracs.2, fracs.3] {
+            let x = a * frac;
+            let ln_q = ln_gamma_q(a, x);
+            let lane = ln_gamma_q_step_lane(a, x, x.ln(), ln_q, gln1);
+            let scalar = ln_gamma_q_step(a, x, x.ln(), ln_q, gln1);
             let tol = 1e-12 * scalar.abs().max(1.0)
-                + 32.0 * f64::EPSILON * (a * xs[i].ln().abs() + xs[i] + gln1.abs());
+                + 32.0 * f64::EPSILON * (a * x.ln().abs() + x + gln1.abs());
             prop_assert!(
-                (wide.0[i] - scalar).abs() <= tol,
-                "a={}, x={}: wide={}, scalar={}", a, xs[i], wide.0[i], scalar
+                (lane - scalar).abs() <= tol,
+                "a={}, x={}: lane={}, scalar={}", a, x, lane, scalar
             );
         }
     }
@@ -237,50 +211,5 @@ proptest! {
                 "streamed={streamed}, batch={batch}"
             );
         }
-    }
-}
-
-/// Pins the cancellation-guard boundary of `ln_gamma_p_step`: walking a
-/// fixed shape from the deep lower tail (`x ≪ a`, direct-fallback
-/// territory) through `x ≈ a` (recurrence territory) must produce
-/// bitwise-identical values on the scalar and four-lane paths at every
-/// point, and the sweep must actually cross the guard (both branches
-/// exercised). A future retune of the guard constant that made the two
-/// paths disagree on when to re-derive would trip this immediately.
-#[test]
-fn p_step_guard_boundary_is_bitwise_pinned_across_lanes() {
-    for &a in &[0.5, 30.0, 500.0, 5000.0] {
-        let gln1 = ln_gamma(a + 1.0);
-        let mut saw_guard = false; // direct-fallback branch taken
-        let mut saw_recur = false; // recurrence branch kept
-        let fracs: Vec<f64> = (0..64).map(|i| 1e-3 * 8_000f64.powf(i as f64 / 63.0)).collect();
-        for chunk in fracs.chunks(4) {
-            let xs: [f64; 4] = std::array::from_fn(|i| a * chunk[i]);
-            let lps: [f64; 4] = std::array::from_fn(|i| ln_gamma_p(a, xs[i]));
-            let x = F64x4(xs);
-            let wide =
-                ln_gamma_p_step_x4(F64x4::splat(a), x, x.ln(), F64x4(lps), F64x4::splat(gln1));
-            for i in 0..WIDE_LANES {
-                let scalar = ln_gamma_p_step(a, xs[i], xs[i].ln(), lps[i], gln1);
-                assert_eq!(
-                    wide.0[i].to_bits(),
-                    scalar.to_bits(),
-                    "a={a}, x={}: wide={}, scalar={scalar}",
-                    xs[i],
-                    wide.0[i]
-                );
-                // Classify which branch the guard chose: the kept
-                // recurrence never drops more than ln 2 below the base.
-                if scalar.is_finite() && scalar >= lps[i] - std::f64::consts::LN_2 {
-                    saw_recur = true;
-                } else {
-                    saw_guard = true;
-                }
-            }
-        }
-        assert!(
-            saw_guard && saw_recur,
-            "a={a}: sweep must straddle the guard boundary (guard={saw_guard}, recur={saw_recur})"
-        );
     }
 }

@@ -150,11 +150,7 @@ fn calibrated_intervals_are_bitwise_deterministic_across_threads_and_lanes() {
     let scenario = Scenario::dt_info();
     let spec = ModelSpec::goel_okumoto();
     let cal = Calibration::new(1.625);
-    for policy in [
-        SimdPolicy::ForceScalar,
-        SimdPolicy::ForceWide,
-        SimdPolicy::ForceWide8,
-    ] {
+    for policy in [SimdPolicy::ForceScalar, SimdPolicy::ForceWide] {
         let options = |threads: usize| Vb2Options {
             solver: SolverKind::SuccessiveSubstitution,
             lanes: policy,

@@ -33,7 +33,6 @@ fn elbo_lower_bounds_nint_evidence() {
             NintOptions {
                 n_omega: 320,
                 n_beta: 320,
-                ..NintOptions::default()
             },
         )
         .unwrap();

@@ -5,7 +5,9 @@ use nhpp_bayes::nint::{NintOptions, NintPosterior};
 use nhpp_data::{io, FailureTimeData, GroupedData, ObservedData};
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::{ModelSpec, Posterior};
-use nhpp_vb::{Vb2Options, Vb2Posterior};
+use nhpp_serve::{client_request, Server, ServerConfig};
+use nhpp_vb::{Truncation, Vb2Options, Vb2Posterior, VbError};
+use std::time::{Duration, Instant};
 
 #[test]
 fn io_rejects_empty_and_garbage_inputs() {
@@ -138,4 +140,68 @@ fn extreme_time_scales_are_stable() {
             post.mean_omega()
         );
     }
+}
+
+#[test]
+fn a_first_candidate_range_past_hard_cap_is_a_typed_error() {
+    // 4·10¹⁸ grouped failures: the first adaptive range [m, 2m] holds
+    // ~4·10¹⁸ components, so the fit must refuse before sizing a sweep
+    // buffer for it (it used to abort on `capacity overflow`).
+    let counts = vec![1, 4_000_000_000_000_000_000];
+    let data: ObservedData = GroupedData::new(vec![1.0, 2.0], counts).unwrap().into();
+    let options = Vb2Options {
+        truncation: Truncation::flat_prior(data.total_count() as u64),
+        ..Vb2Options::default()
+    };
+    let err = Vb2Posterior::fit(ModelSpec::goel_okumoto(), NhppPrior::flat(), &data, options)
+        .unwrap_err();
+    assert!(
+        matches!(err, VbError::TruncationOverflow { cap: 2_000_000, .. }),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_grouped_project_with_a_huge_count_keeps_the_service_answering() {
+    // Regression: the flat-prior cap `5·m` overflowed past
+    // `u64::MAX / 5`, the first VB2 sweep then sized a buffer for ~4·10¹⁸
+    // components, and the panicking fit never cleared the project's
+    // in-flight marker — so every later fit, and then `/healthz`, hung.
+    let handle = Server::spawn(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        flush_interval: None,
+        quiet: true,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr().to_string();
+    let (status, body) = client_request(
+        &addr,
+        "PUT",
+        "/projects/h?kind=grouped&model=go&prior=flat",
+        None,
+    )
+    .unwrap();
+    assert_eq!(status, 201, "{body}");
+    let batch = "1,1\n2,4000000000000000000\n";
+    let (status, body) = client_request(&addr, "POST", "/projects/h/events", Some(batch)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    for attempt in 0..2 {
+        let started = Instant::now();
+        let (status, body) = client_request(&addr, "GET", "/projects/h/fit", None)
+            .unwrap_or_else(|e| panic!("fit {attempt}: no complete response: {e}"));
+        // A typed error or a fallback fit are both acceptable answers.
+        assert!(
+            status == 200 || status >= 400,
+            "fit {attempt}: {status} {body}"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "fit {attempt} took {:?}",
+            started.elapsed()
+        );
+    }
+    let (status, body) = client_request(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    handle.shutdown();
 }

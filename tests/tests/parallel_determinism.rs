@@ -21,7 +21,7 @@ use nhpp_models::prior::NhppPrior;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_vb::{
     fit_many_supervised, RobustOptions, RobustPosterior, RobustTask, SimdPolicy, SolverKind,
-    Truncation, Vb2Options, Vb2Posterior, Vb2Task, WIDE8_LANES, WIDE_LANES,
+    Truncation, Vb2Options, Vb2Posterior, Vb2Task, WIDE_LANES,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -408,7 +408,6 @@ fn forced_dispatch_fits_are_thread_invariant_and_pin_their_width() {
         for (policy, width) in [
             (SimdPolicy::ForceScalar, 1),
             (SimdPolicy::ForceWide, WIDE_LANES),
-            (SimdPolicy::ForceWide8, WIDE8_LANES),
         ] {
             let serial = Vb2Posterior::fit(spec, prior, &data, lane_options(policy, 1)).unwrap();
             assert_eq!(
@@ -429,7 +428,7 @@ fn forced_dispatch_fits_are_thread_invariant_and_pin_their_width() {
             by_policy.push(serial);
         }
         // Across dispatches the sweeps agree as oracles, not bitwise:
-        // the wide paths reassociate the mixture reductions and take
+        // the wide path reassociates the mixture reductions and takes
         // closed-form lane maps for ζ.
         let scalar = &by_policy[0];
         for wide in &by_policy[1..] {
@@ -467,7 +466,6 @@ fn recorded_lane_width_reproduces_the_run_bitwise() {
     let forced = match auto.lane_width() {
         1 => SimdPolicy::ForceScalar,
         WIDE_LANES => SimdPolicy::ForceWide,
-        WIDE8_LANES => SimdPolicy::ForceWide8,
         w => panic!("unknown recorded lane width {w}"),
     };
     let reference = fingerprint(&auto);
@@ -506,7 +504,6 @@ proptest! {
         for (policy, width) in [
             (SimdPolicy::ForceScalar, 1),
             (SimdPolicy::ForceWide, WIDE_LANES),
-            (SimdPolicy::ForceWide8, WIDE8_LANES),
         ] {
             let serial =
                 Vb2Posterior::fit(spec, prior, &data, lane_options(policy, 1)).unwrap();
@@ -552,7 +549,6 @@ proptest! {
         for (policy, width) in [
             (SimdPolicy::ForceScalar, 1),
             (SimdPolicy::ForceWide, WIDE_LANES),
-            (SimdPolicy::ForceWide8, WIDE8_LANES),
         ] {
             let serial =
                 Vb2Posterior::fit(spec, prior, &data, lane_options(policy, 1)).unwrap();
@@ -611,18 +607,13 @@ fn golden_quantities(scenario: &Scenario, posterior: &dyn Posterior) -> Vec<(Str
 #[test]
 fn golden_smoke_holds_under_all_forced_dispatches() {
     // The checked-in golden fixture is dispatch-neutral: the
-    // forced-scalar, forced-4-lane and forced-8-lane sweeps all land
-    // every pinned `DT-Info` VB2 and NINT quantity inside its tolerance
-    // band, so a machine that falls back to scalar still reproduces the
-    // paper.
+    // forced-scalar and forced-4-lane sweeps both land every pinned
+    // `DT-Info` VB2 and NINT quantity inside its tolerance band, so a
+    // machine that falls back to scalar still reproduces the paper.
     let fixture = golden::parse(include_str!("../golden/smoke.txt")).expect("fixture parses");
     let scenario = Scenario::dt_info();
     let spec = ModelSpec::goel_okumoto();
-    for policy in [
-        SimdPolicy::ForceScalar,
-        SimdPolicy::ForceWide,
-        SimdPolicy::ForceWide8,
-    ] {
+    for policy in [SimdPolicy::ForceScalar, SimdPolicy::ForceWide] {
         let vb2 = Vb2Posterior::fit(
             spec,
             scenario.prior,
@@ -639,10 +630,7 @@ fn golden_smoke_holds_under_all_forced_dispatches() {
             scenario.prior,
             &scenario.data,
             bounds_from_posterior(&vb2),
-            NintOptions {
-                lanes: policy,
-                ..NintOptions::default()
-            },
+            NintOptions::default(),
         )
         .unwrap();
         for (label, posterior) in [

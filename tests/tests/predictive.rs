@@ -4,10 +4,11 @@
 use nhpp_bayes::laplace::LaplacePosterior;
 use nhpp_bayes::mcmc::{McmcOptions, McmcPosterior};
 use nhpp_bayes::nint::{bounds_from_posterior, NintOptions, NintPosterior};
+use nhpp_bench::Scenario;
 use nhpp_data::{sys17, ObservedData};
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::{ModelSpec, Posterior};
-use nhpp_vb::{Vb2Options, Vb2Posterior};
+use nhpp_vb::{Vb1Options, Vb1Posterior, Vb2Options, Vb2Posterior};
 
 const U: f64 = 20_000.0;
 
@@ -138,4 +139,41 @@ fn predictive_is_bounded_by_residual_faults() {
         "{} vs {residual}",
         huge.mean()
     );
+}
+
+#[test]
+fn predictive_pmf_stops_where_its_mass_sits() {
+    // Regression: the pmf loop once stopped at an absolute `1 − tail_tol`
+    // that the β-table cells (≈ 1 − 2e-10 of the mass) never reach, so
+    // every call walked to the 100 000-entry cap while the mass sat at
+    // k ≤ 7. Every System 17 posterior must stop within a few entries
+    // and still account for all but ~tail_tol of its mass.
+    for scenario in Scenario::all() {
+        let t = scenario.data.observation_end();
+        for spec in [ModelSpec::goel_okumoto(), ModelSpec::delayed_s_shaped()] {
+            let vb2 =
+                Vb2Posterior::fit(spec, scenario.prior, &scenario.data, scenario.vb2_options())
+                    .unwrap();
+            let pred = vb2.predictive_failures(t, t / 100.0).unwrap();
+            let label = format!("{} {spec:?}", scenario.name);
+            assert!(pred.k_max() < 50, "{label}: k_max {}", pred.k_max());
+            assert!(
+                pred.tail_mass() < 1e-9,
+                "{label}: tail {}",
+                pred.tail_mass()
+            );
+        }
+    }
+    // VB1 shares the negative-binomial mixture path.
+    let scenario = Scenario::dt_info();
+    let t = scenario.data.observation_end();
+    let vb1 = Vb1Posterior::fit(
+        ModelSpec::goel_okumoto(),
+        scenario.prior,
+        &scenario.data,
+        Vb1Options::default(),
+    )
+    .unwrap();
+    let pred = vb1.predictive_failures(t, t / 100.0).unwrap();
+    assert!(pred.k_max() < 50, "VB1: k_max {}", pred.k_max());
 }
