@@ -10,8 +10,8 @@
 //! * [`laplace`] — **Laplace approximation**: bivariate normal centred at
 //!   the MAP estimate with the inverse negative Hessian as covariance;
 //! * [`mcmc`] — **Markov chain Monte Carlo**: the Kuo–Yang Gibbs sampler
-//!   for failure-time data, within-bin data augmentation for grouped
-//!   data, and a random-walk Metropolis–Hastings fallback.
+//!   for failure-time data, with within-bin data augmentation for
+//!   grouped data.
 //!
 //! All three produce types implementing
 //! [`nhpp_models::Posterior`], so they are interchangeable with the
@@ -40,10 +40,8 @@
 // `x <= 0.0`, they also reject NaN, which is exactly the validation the
 // numerical code needs.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
-pub mod diagnostics;
 mod error;
 pub mod laplace;
-pub mod laplace_log;
 pub mod mcmc;
 pub mod nint;
 

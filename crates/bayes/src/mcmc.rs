@@ -1,21 +1,15 @@
 //! Markov chain Monte Carlo posterior sampling (MCMC).
 //!
-//! Two samplers are provided:
-//!
-//! * [`McmcPosterior::fit_gibbs`] — the Kuo & Yang (1995/96) Gibbs scheme
-//!   of §4.3, generalised to gamma-type models and to grouped data:
-//!   the residual fault count `N̄` is drawn from
-//!   `Poisson(ω·S(t_end; α₀, β))` (Eq. (9)), then `ω` and `β` from their
-//!   conjugate Gamma conditionals (Eqs. (10)–(11) with proper priors).
-//!   For the Goel–Okumoto case the censored-tail times integrate out of
-//!   the `β`-conditional exactly as in the paper, giving 3 random
-//!   variates per sweep for failure-time data and `3 + Σxᵢ` for grouped
-//!   data (within-bin times are re-imputed each sweep by truncated-gamma
-//!   data augmentation, Tanner & Wong 1987). For `α₀ ≠ 1` the tail times
-//!   are augmented explicitly.
-//! * [`McmcPosterior::fit_metropolis`] — an adaptive random-walk
-//!   Metropolis–Hastings sampler on `(ln ω, ln β)`, the general-purpose
-//!   fallback the paper mentions for non-conjugate settings.
+//! [`McmcPosterior::fit_gibbs`] is the Kuo & Yang (1995/96) Gibbs scheme
+//! of §4.3, generalised to gamma-type models and to grouped data: the
+//! residual fault count `N̄` is drawn from `Poisson(ω·S(t_end; α₀, β))`
+//! (Eq. (9)), then `ω` and `β` from their conjugate Gamma conditionals
+//! (Eqs. (10)–(11) with proper priors). For the Goel–Okumoto case the
+//! censored-tail times integrate out of the `β`-conditional exactly as
+//! in the paper, giving 3 random variates per sweep for failure-time
+//! data and `3 + Σxᵢ` for grouped data (within-bin times are re-imputed
+//! each sweep by truncated-gamma data augmentation, Tanner & Wong 1987).
+//! For `α₀ ≠ 1` the tail times are augmented explicitly.
 //!
 //! A note on the flat-prior conditionals: the paper's Eq. (10) reads
 //! `ω | N̄ ~ Gamma(m_e + N̄, 1)`, which corresponds to the improper
@@ -30,9 +24,9 @@ use nhpp_dist::{Continuous, Gamma, Poisson, Sample, TruncatedGamma};
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::{LogPosterior, ModelSpec, Posterior};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
-/// Options for the MCMC samplers, defaulting to the paper's §6 settings:
+/// Options for the MCMC sampler, defaulting to the paper's §6 settings:
 /// 10 000 burn-in sweeps, thinning 10, 20 000 retained samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McmcOptions {
@@ -42,7 +36,7 @@ pub struct McmcOptions {
     pub thin: usize,
     /// Number of samples retained.
     pub n_samples: usize,
-    /// RNG seed (samplers are fully deterministic given the seed).
+    /// RNG seed (the sampler is fully deterministic given the seed).
     pub seed: u64,
 }
 
@@ -78,7 +72,6 @@ pub struct McmcPosterior {
     sorted_omega: Vec<f64>,
     sorted_beta: Vec<f64>,
     variate_count: u64,
-    acceptance_rate: Option<f64>,
 }
 
 fn sorted(v: &[f64]) -> Vec<f64> {
@@ -234,94 +227,6 @@ impl McmcPosterior {
             omega: omega_samples,
             beta: beta_samples,
             variate_count: variates,
-            acceptance_rate: None,
-        })
-    }
-
-    /// Runs an adaptive random-walk Metropolis–Hastings sampler on
-    /// `(ln ω, ln β)`.
-    ///
-    /// # Errors
-    ///
-    /// [`BayesError::InvalidOption`] for zero samples or thinning;
-    /// [`BayesError::IllPosed`] if the chain cannot find a state of
-    /// finite posterior density.
-    pub fn fit_metropolis(
-        spec: ModelSpec,
-        prior: NhppPrior,
-        data: &ObservedData,
-        options: McmcOptions,
-    ) -> Result<Self, BayesError> {
-        if options.n_samples == 0 || options.thin == 0 {
-            return Err(BayesError::InvalidOption {
-                message: "n_samples and thin must be positive",
-            });
-        }
-        let mut rng = StdRng::seed_from_u64(options.seed);
-        let lp = LogPosterior::new(spec, prior, data);
-        // Log-scale target includes the Jacobian ω·β.
-        let ln_target = |x: f64, y: f64| lp.value(x.exp(), y.exp()) + x + y;
-
-        let (w0, b0) = lp.rough_start();
-        let (mut x, mut y) = (w0.ln(), b0.ln());
-        let mut fx = ln_target(x, y);
-        if !fx.is_finite() {
-            return Err(BayesError::IllPosed {
-                message: format!("no finite-density starting point near ({w0}, {b0})"),
-            });
-        }
-        let mut step = 0.2f64;
-        let mut variates: u64 = 0;
-        let mut accepted_post = 0usize;
-        let mut proposed_post = 0usize;
-        let total_sweeps = options.burn_in + options.thin * options.n_samples;
-        let mut omega_samples = Vec::with_capacity(options.n_samples);
-        let mut beta_samples = Vec::with_capacity(options.n_samples);
-
-        for sweep in 0..total_sweeps {
-            let (dx, dy): (f64, f64) = (
-                crate::mcmc::gauss(&mut rng) * step,
-                crate::mcmc::gauss(&mut rng) * step,
-            );
-            variates += 2;
-            let (nx, ny) = (x + dx, y + dy);
-            let fy = ln_target(nx, ny);
-            let accept = fy - fx >= 0.0 || rng.random::<f64>().ln() < fy - fx;
-            if sweep >= options.burn_in {
-                proposed_post += 1;
-            }
-            if accept {
-                x = nx;
-                y = ny;
-                fx = fy;
-                if sweep >= options.burn_in {
-                    accepted_post += 1;
-                }
-            }
-            if sweep < options.burn_in {
-                // Robbins–Monro adaptation toward ~35% acceptance.
-                let target: f64 = 0.35;
-                let gain = 1.0 / (1.0 + sweep as f64 / 100.0);
-                step *= (1.0 + gain * ((if accept { 1.0f64 } else { 0.0 }) - target)).max(0.1);
-                step = step.clamp(1e-4, 5.0);
-            }
-            if sweep >= options.burn_in && (sweep - options.burn_in).is_multiple_of(options.thin) {
-                omega_samples.push(x.exp());
-                beta_samples.push(y.exp());
-            }
-        }
-        omega_samples.truncate(options.n_samples);
-        beta_samples.truncate(options.n_samples);
-        validate_finite("omega", &omega_samples)?;
-        validate_finite("beta", &beta_samples)?;
-        Ok(McmcPosterior {
-            spec,
-            sorted_omega: sorted(&omega_samples),
-            sorted_beta: sorted(&beta_samples),
-            omega: omega_samples,
-            beta: beta_samples,
-            variate_count: variates,
-            acceptance_rate: Some(accepted_post as f64 / proposed_post.max(1) as f64),
         })
     }
 
@@ -344,11 +249,6 @@ impl McmcPosterior {
     /// Table 6.
     pub fn variate_count(&self) -> u64 {
         self.variate_count
-    }
-
-    /// Post-burn-in acceptance rate (Metropolis–Hastings only).
-    pub fn acceptance_rate(&self) -> Option<f64> {
-        self.acceptance_rate
     }
 
     /// Posterior-predictive distribution of the number of failures in
@@ -410,19 +310,6 @@ impl McmcPosterior {
                 (-w * law.ln_interval_mass(t, t + u).exp()).exp()
             })
             .collect()
-    }
-}
-
-/// Standard normal draw via the polar method (local helper to avoid
-/// exposing sampler internals).
-fn gauss<R: rand::Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u: f64 = 2.0 * rng.random::<f64>() - 1.0;
-        let v: f64 = 2.0 * rng.random::<f64>() - 1.0;
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
-        }
     }
 }
 
@@ -582,34 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn metropolis_agrees_with_gibbs() {
-        let data: ObservedData = sys17::failure_times().into();
-        let prior = NhppPrior::paper_info_times();
-        let gibbs = McmcPosterior::fit_gibbs(spec(), prior, &data, McmcOptions::fast(5)).unwrap();
-        let mh = McmcPosterior::fit_metropolis(
-            spec(),
-            prior,
-            &data,
-            McmcOptions {
-                burn_in: 5_000,
-                thin: 5,
-                n_samples: 4_000,
-                seed: 6,
-            },
-        )
-        .unwrap();
-        let rel = (gibbs.mean_omega() - mh.mean_omega()).abs() / gibbs.mean_omega();
-        assert!(
-            rel < 0.05,
-            "gibbs={}, mh={}",
-            gibbs.mean_omega(),
-            mh.mean_omega()
-        );
-        let rate = mh.acceptance_rate().unwrap();
-        assert!(rate > 0.1 && rate < 0.7, "acceptance={rate}");
-    }
-
-    #[test]
     fn quantiles_are_order_statistics() {
         let data: ObservedData = sys17::failure_times().into();
         let post = McmcPosterior::fit_gibbs(
@@ -726,7 +585,6 @@ mod tests {
             omega: samples.clone(),
             beta: samples,
             variate_count: 0,
-            acceptance_rate: None,
         };
         // Finite quantiles come from the finite prefix of the total
         // order; the top quantile honestly reports the NaN.

@@ -1,18 +1,24 @@
-//! Headless performance-report runner and regression gate.
+//! Headless performance-report runner and regression gate: the one
+//! kernel benchmark of the workspace.
 //!
-//! `bench_report run` times the same workloads as the Criterion
-//! `vb2-sweep` / `nint-fit` / `vb2-parallel` groups, plus the posterior
-//! reliability functionals, the predictive failure counts, marginal
-//! quantiles and the registry's long-history append and replay, with
-//! plain `Instant` medians (no harness, CI-friendly) and writes a
+//! `bench_report run` times the VB2 component sweeps (the paper's
+//! successive substitution and, for the §6 solver conjecture, Newton),
+//! the production and supervised VB2 fits, batch and thread-pool
+//! fitting, NINT, the posterior reliability functionals, the predictive
+//! failure counts, marginal quantiles and the registry's long-history
+//! append and replay, with plain `Instant` medians, and writes a
 //! `BENCH_*.json` report;
 //! `bench_report compare` gates a new report against a previous one.
 //!
 //! ```text
-//! bench_report run --out BENCH_3.json [--label BENCH_3]
+//! bench_report run --out NEW.json [--label L]
 //!                  [--baseline OLD.json] [--samples N] [--quick]
 //! bench_report compare OLD.json NEW.json [--max-regression 0.10] [--smoke]
 //! ```
+//!
+//! `--out` is required, so a run never overwrites a committed record by
+//! default. A missing `--out`, or a `--samples` or `--max-regression`
+//! that does not parse, prints the usage and exits 2.
 //!
 //! `compare` prints the full per-metric delta table (old ms, new ms,
 //! ratio, PASS/WARN/FAIL) whether or not the gate holds; a metric that
@@ -28,7 +34,9 @@ use nhpp_dist::Continuous;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_serve::registry::Project;
 use nhpp_serve::{DurabilityPolicy, MemStorage, ProjectConfig, Registry};
-use nhpp_vb::{SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Task};
+use nhpp_vb::{
+    fit_supervised, RobustOptions, SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Task,
+};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -40,15 +48,18 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("run") => run(&args[1..]),
         Some("compare") => run_compare(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: bench_report run --out FILE [--label L] [--baseline FILE] \
-                 [--samples N] [--quick]\n       bench_report compare OLD NEW \
-                 [--max-regression F] [--smoke]"
-            );
-            ExitCode::from(2)
-        }
+        _ => usage(),
     }
+}
+
+/// Prints the usage and returns the usage-error exit code.
+fn usage() -> ExitCode {
+    eprintln!(
+        "usage: bench_report run --out FILE [--label L] [--baseline FILE] \
+         [--samples N] [--quick]\n       bench_report compare OLD NEW \
+         [--max-regression F] [--smoke]"
+    );
+    ExitCode::from(2)
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -74,7 +85,9 @@ fn median_ms<R>(samples: usize, mut work: impl FnMut() -> R) -> f64 {
 }
 
 fn run(args: &[String]) -> ExitCode {
-    let out_path = flag_value(args, "--out").unwrap_or("BENCH_3.json");
+    let Some(out_path) = flag_value(args, "--out") else {
+        return usage();
+    };
     let label = flag_value(args, "--label")
         .map(str::to_string)
         .unwrap_or_else(|| {
@@ -84,9 +97,12 @@ fn run(args: &[String]) -> ExitCode {
                 .unwrap_or_else(|| "BENCH".to_string())
         });
     let quick = args.iter().any(|a| a == "--quick");
-    let samples: usize = flag_value(args, "--samples")
-        .map(|s| s.parse().expect("--samples must be an integer"))
-        .unwrap_or(if quick { 3 } else { 5 });
+    let default_samples = if quick { 3 } else { 5 };
+    let samples = match flag_value(args, "--samples").map(str::parse::<usize>) {
+        None => default_samples,
+        Some(Ok(n)) if n > 0 => n,
+        Some(_) => return usage(),
+    };
     let baseline = match flag_value(args, "--baseline") {
         Some(path) => match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
             Ok(text) => match Report::from_json(&text) {
@@ -111,8 +127,8 @@ fn run(args: &[String]) -> ExitCode {
     let dt_flat = Scenario::dt_noinfo();
 
     // vb2-sweep: the single-thread component sweep with the paper's
-    // successive-substitution solver at a fixed truncation — mirrors the
-    // Criterion `vb2-sweep` group and isolates per-component cost.
+    // successive-substitution solver at a fixed truncation, which
+    // isolates per-component cost.
     let sweep_n_max = if quick { 500 } else { 1000 };
     let sweep_opts = Vb2Options {
         solver: SolverKind::SuccessiveSubstitution,
@@ -120,27 +136,46 @@ fn run(args: &[String]) -> ExitCode {
         threads: 1,
         ..Vb2Options::default()
     };
-    record(&mut metrics, "vb2-sweep", samples, || {
-        Vb2Posterior::fit(spec, dt.prior, &dt.data, sweep_opts).unwrap()
-    });
     // Grouped data drives the interval-mass path (incomplete-gamma
     // differences per bin) instead of the closed-form tail.
     let sweep_grouped_opts = Vb2Options {
-        solver: SolverKind::SuccessiveSubstitution,
         truncation: Truncation::Fixed {
             n_max: if quick { 200 } else { 400 },
         },
-        threads: 1,
-        ..Vb2Options::default()
+        ..sweep_opts
     };
-    record(&mut metrics, "vb2-sweep-grouped", samples, || {
-        Vb2Posterior::fit(spec, dg.prior, &dg.data, sweep_grouped_opts).unwrap()
-    });
+    // The `-newton` rows are the solver ablation: the same sweeps with
+    // Newton iteration on the fixed-point residual, the speedup the
+    // paper's §6 conjectures for Table 7.
+    for (name, scenario, options) in [
+        ("vb2-sweep", &dt, sweep_opts),
+        ("vb2-sweep-grouped", &dg, sweep_grouped_opts),
+    ] {
+        record(&mut metrics, name, samples, || {
+            Vb2Posterior::fit(spec, scenario.prior, &scenario.data, options).unwrap()
+        });
+        let newton = Vb2Options {
+            solver: SolverKind::Newton,
+            ..options
+        };
+        record(&mut metrics, &format!("{name}-newton"), samples, || {
+            Vb2Posterior::fit(spec, scenario.prior, &scenario.data, newton).unwrap()
+        });
+    }
 
     // vb2-fit: the default production configuration (adaptive
-    // truncation, Auto solver), what `nhpp fit` runs.
+    // truncation, Auto solver), what `nhpp fit` runs;
+    // vb2-fit-supervised: the same fit through the supervised pipeline,
+    // whose happy path is one VB2 attempt plus its `FitReport`.
     record(&mut metrics, "vb2-fit", samples, || {
         Vb2Posterior::fit(spec, dt.prior, &dt.data, dt.vb2_options()).unwrap()
+    });
+    let supervised = RobustOptions {
+        base: dt.vb2_options(),
+        ..RobustOptions::default()
+    };
+    record(&mut metrics, "vb2-fit-supervised", samples, || {
+        fit_supervised(spec, dt.prior, &dt.data, supervised).unwrap()
     });
 
     // vb2-fit-many: the batch API over all four paper scenarios,
@@ -389,12 +424,13 @@ fn record<R>(
 fn run_compare(args: &[String]) -> ExitCode {
     let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     let (Some(old_path), Some(new_path)) = (positional.first(), positional.get(1)) else {
-        eprintln!("bench_report compare: need OLD and NEW report paths");
-        return ExitCode::from(2);
+        return usage();
     };
-    let max_regression: f64 = flag_value(args, "--max-regression")
-        .map(|s| s.parse().expect("--max-regression must be a number"))
-        .unwrap_or(0.10);
+    let max_regression = match flag_value(args, "--max-regression").map(str::parse::<f64>) {
+        None => 0.10,
+        Some(Ok(f)) if f.is_finite() => f,
+        Some(_) => return usage(),
+    };
     let smoke = args.iter().any(|a| a == "--smoke");
 
     let mut reports = Vec::new();

@@ -4,10 +4,14 @@
 //! [`nhpp_bench::perf`] pipeline.
 //!
 //! ```text
-//! bench_serve [--out BENCH_5.json] [--label BENCH_5] [--quick]
-//! bench_serve --overload [--out BENCH_6.json] [--quick]
-//! bench_serve --ingest [--out BENCH_9.json] [--quick]
+//! bench_serve --out NEW.json [--label L] [--quick]
+//! bench_serve --overload --out NEW.json [--label L] [--quick]
+//! bench_serve --ingest --out NEW.json [--label L] [--quick]
 //! ```
+//!
+//! `--out` is required, so a run never overwrites a committed record
+//! (`BENCH_5`, `BENCH_6` or `BENCH_9.json`) by default; without it the
+//! bin prints the usage and exits 2.
 //!
 //! Default metrics (all milliseconds, lower is better, so the standard
 //! `bench_report compare` gate applies unchanged):
@@ -524,14 +528,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let overload = args.iter().any(|a| a == "--overload");
     let ingest = args.iter().any(|a| a == "--ingest");
-    let default_out = if ingest {
-        "BENCH_9.json"
-    } else if overload {
-        "BENCH_6.json"
-    } else {
-        "BENCH_5.json"
+    let Some(out_path) = flag_value(&args, "--out") else {
+        eprintln!("usage: bench_serve [--overload | --ingest] --out FILE [--label L] [--quick]");
+        return ExitCode::from(2);
     };
-    let out_path = flag_value(&args, "--out").unwrap_or(default_out);
     let label = flag_value(&args, "--label")
         .map(str::to_string)
         .unwrap_or_else(|| {

@@ -15,10 +15,6 @@ fn main() {
         ("table6.txt", nhpp_bench::reports::table6()),
         ("table7.txt", nhpp_bench::reports::table7()),
         ("illposed.txt", nhpp_bench::reports::illposed()),
-        (
-            "coverage.txt",
-            nhpp_bench::coverage::report(&nhpp_bench::coverage::CoverageStudy::default()),
-        ),
     ];
     for (name, report) in &reports {
         println!("\n================================================\n{report}");

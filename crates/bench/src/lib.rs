@@ -1,16 +1,17 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure of the DSN
-//! 2007 paper on the System 17 surrogate dataset; the Criterion benches
-//! in `benches/` reproduce the timing experiments (Tables 6–7) and the
-//! solver ablation. This library holds the experiment definitions shared
-//! by all of them.
+//! Each table binary in `src/bin/` reproduces one table or figure of the
+//! DSN 2007 paper on the System 17 surrogate dataset, including the
+//! timing experiments (Tables 6–7). `bench_report` times the kernels
+//! (VB2 sweeps and the solver ablation, NINT, the posterior functionals,
+//! the registry) into a `BENCH_*.json` record, and `bench_serve` load-tests
+//! the service. This library holds the experiment definitions shared by
+//! all of them.
 
 // `!(x > 0.0)`-style guards are used deliberately throughout: unlike
 // `x <= 0.0`, they also reject NaN, which is exactly the validation the
 // numerical code needs.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
-pub mod coverage;
 pub use nhpp_data::json;
 pub mod perf;
 pub mod reports;

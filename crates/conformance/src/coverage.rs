@@ -3,8 +3,8 @@
 //! For each grid cell this fits every method on `replications` seeded
 //! campaigns and tallies how often the nominal credible interval for
 //! `ω` contains the generating truth, with binomial standard errors and
-//! exhaustive per-method failure accounting (reusing the bench
-//! [`Tally`], so `attempted == fitted + dropped` always holds).
+//! exhaustive per-method failure accounting (a [`Tally`] per method, so
+//! `attempted == fitted + dropped` always holds).
 //!
 //! On Info cells the truth is *drawn from the prior* each campaign:
 //! that is the regime in which an exactly calibrated Bayesian interval
@@ -22,8 +22,53 @@
 use crate::methods::Method;
 use crate::scenario::{sample_prior, GridCell};
 use crate::stats::binomial_se;
-use nhpp_bench::coverage::Tally;
 use nhpp_vb::calibration::{Calibration, CalibrationDictionary};
+use std::collections::BTreeMap;
+
+/// Coverage counts for one method. Every campaign the runner attempts
+/// is either `fitted` (interval produced) or recorded under a failure
+/// reason in `dropped` — `attempted == fitted + Σ dropped`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Tally {
+    /// Campaigns attempted for this method.
+    pub attempted: usize,
+    /// Campaigns in which the interval contained the true ω.
+    pub covered: usize,
+    /// Campaigns successfully fitted.
+    pub fitted: usize,
+    /// Campaigns that produced no interval, keyed by the failure reason.
+    pub dropped: BTreeMap<String, usize>,
+}
+
+impl Tally {
+    /// Records one campaign: either an interval to check against the
+    /// truth, or the reason no interval was produced.
+    pub fn record(&mut self, interval: Result<(f64, f64), String>, truth: f64) {
+        self.attempted += 1;
+        match interval {
+            Ok((lo, hi)) => {
+                self.fitted += 1;
+                if lo <= truth && truth <= hi {
+                    self.covered += 1;
+                }
+            }
+            Err(reason) => {
+                *self.dropped.entry(reason).or_insert(0) += 1;
+            }
+        }
+    }
+
+    /// Empirical coverage rate among fitted campaigns (NaN with no
+    /// successful fits).
+    pub fn rate(&self) -> f64 {
+        self.covered as f64 / self.fitted as f64
+    }
+
+    /// Total campaigns that produced no interval.
+    pub fn dropped_total(&self) -> usize {
+        self.dropped.values().sum()
+    }
+}
 
 /// Coverage-runner configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,6 +235,22 @@ mod tests {
     use super::*;
 
     #[test]
+    fn tally_arithmetic() {
+        let mut tally = Tally::default();
+        tally.record(Ok((1.0, 3.0)), 2.0);
+        tally.record(Ok((1.0, 3.0)), 5.0);
+        tally.record(Err("IllPosed".to_string()), 2.0);
+        tally.record(Err("IllPosed".to_string()), 2.0);
+        tally.record(Err("TooFewFailures".to_string()), 2.0);
+        assert_eq!(tally.attempted, 5);
+        assert_eq!(tally.fitted, 2);
+        assert_eq!(tally.covered, 1);
+        assert_eq!(tally.dropped_total(), 3);
+        assert_eq!(tally.dropped.get("IllPosed"), Some(&2));
+        assert!((tally.rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
     fn cell_coverage_accounts_for_every_campaign() {
         let cell = GridCell::smoke_grid()[0];
         let config = CoverageConfig {
@@ -209,6 +270,23 @@ mod tests {
             assert!(!(mc.within_band && mc.under_covering), "{}", mc.method);
             assert!(mc.calibrated.is_none(), "{}", mc.method);
         }
+        // The paper's Tables 2–5 story on this cell: VB1's too-narrow
+        // intervals under-cover, VB2's do not, and VB2 covers more.
+        let get = |label: &str| {
+            results
+                .iter()
+                .find(|mc| mc.method == label)
+                .expect("method present")
+        };
+        let (vb2, vb1) = (get("VB2"), get("VB1"));
+        assert!(vb1.under_covering, "VB1 covered {}", vb1.tally.covered);
+        assert!(!vb2.under_covering, "VB2 covered {}", vb2.tally.covered);
+        assert!(
+            vb2.tally.covered > vb1.tally.covered,
+            "VB2 {} vs VB1 {}",
+            vb2.tally.covered,
+            vb1.tally.covered
+        );
     }
 
     #[test]

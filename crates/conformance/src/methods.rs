@@ -15,8 +15,10 @@ use nhpp_models::{ModelError, ModelSpec, Posterior};
 use nhpp_numeric::NumericError;
 use nhpp_vb::{Vb1Options, Vb1Posterior, Vb2Options, Vb2Posterior, VbError};
 
-/// The four methods under conformance test (PROFILE is frequentist and
-/// MCMC too slow for repeated simulation; both stay in the bench layer).
+/// The four methods under conformance test. PROFILE is left out: it is
+/// frequentist, so it has no posterior to calibrate, and the CLI is its
+/// only caller. MCMC is left out as too slow for repeated simulation;
+/// the Table 6 bin times it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Structured variational Bayes (the paper's contribution).

@@ -436,8 +436,8 @@ pub fn gate_passed(text: &str) -> Result<bool, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coverage::Tally;
     use crate::stats::UniformityTest;
-    use nhpp_bench::coverage::Tally;
 
     fn fake_cell(vb1_under: bool) -> CellResult {
         let mut tally = Tally::default();

@@ -87,7 +87,8 @@ pub enum SolverKind {
     /// timed in the paper's Table 7).
     SuccessiveSubstitution,
     /// Newton iteration on the residual (the speedup conjectured in the
-    /// paper's §6 closing remarks; measured by the ablation bench).
+    /// paper's §6 closing remarks; `bench_report`'s `-newton` rows
+    /// measure it).
     Newton,
     /// Bisection on the residual `F(ξ) − ξ`: slow but essentially
     /// unconditionally convergent — the retry ladder's last-resort

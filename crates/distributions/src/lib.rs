@@ -36,7 +36,6 @@ mod erlang;
 mod error;
 mod exponential;
 mod gamma;
-mod lognormal;
 mod mixture;
 mod normal;
 mod poisson;
@@ -47,7 +46,6 @@ pub use erlang::Erlang;
 pub use error::DistError;
 pub use exponential::Exponential;
 pub use gamma::Gamma;
-pub use lognormal::LogNormal;
 pub use mixture::{BetaRow, GammaMixture, GammaProductMixture, MixtureComponent};
 pub use normal::Normal;
 pub use poisson::Poisson;

@@ -310,4 +310,19 @@ mod tests {
         let (lo, hi) = profile_interval(ModelSpec::goel_okumoto(), &d, Param::Omega, 0.9).unwrap();
         assert!(lo > 30.0 && hi < 90.0 && lo < hi, "({lo}, {hi})");
     }
+
+    #[test]
+    fn a_campaign_with_no_finite_mle_is_a_typed_error() {
+        // Failures bunched late in the window (mean time 79 > t_end/2):
+        // the GO likelihood keeps rising as β → 0 with ω·β fixed, so
+        // there is no finite MLE and hence no finite upper bound.
+        let d: ObservedData =
+            nhpp_data::FailureTimeData::new(vec![60.0, 70.0, 80.0, 90.0, 95.0], 100.0)
+                .unwrap()
+                .into();
+        match profile_interval(ModelSpec::goel_okumoto(), &d, Param::Omega, 0.95) {
+            Err(ModelError::NoConvergence { context, .. }) => assert_eq!(context, "EM fit"),
+            other => panic!("expected an EM non-convergence, got {other:?}"),
+        }
+    }
 }

@@ -77,7 +77,7 @@ pub fn log_likelihood_grouped(spec: ModelSpec, omega: f64, beta: f64, data: &Gro
 ///
 /// This is the common computational object behind the Laplace
 /// approximation (MAP + curvature), direct numerical integration (grid
-/// evaluation) and Metropolis–Hastings MCMC (density ratios). With a
+/// evaluation) and the Gibbs sampler's starting point. With a
 /// [flat prior](crate::prior::ParamPrior::Flat) it reduces to the pure
 /// log-likelihood, so the same machinery serves MLE-based inference.
 #[derive(Debug, Clone)]

@@ -3,7 +3,6 @@
 //! failure-injection checks on the public construction paths.
 
 use nhpp_bayes::laplace::LaplacePosterior;
-use nhpp_bayes::laplace_log::LaplaceLogPosterior;
 use nhpp_bayes::mcmc::McmcPosterior;
 use nhpp_bayes::nint::NintPosterior;
 use nhpp_data::{FailureTimeData, GroupedData};
@@ -19,7 +18,6 @@ fn public_types_are_send_and_sync() {
     assert_send_sync::<Vb2Posterior>();
     assert_send_sync::<Vb1Posterior>();
     assert_send_sync::<LaplacePosterior>();
-    assert_send_sync::<LaplaceLogPosterior>();
     assert_send_sync::<McmcPosterior>();
     assert_send_sync::<NintPosterior>();
     assert_send_sync::<GammaNhpp>();
@@ -87,7 +85,6 @@ fn posterior_trait_objects_compose() {
     let methods: Vec<Box<dyn Posterior>> = vec![
         Box::new(Vb2Posterior::fit(spec, prior, &data, nhpp_vb::Vb2Options::default()).unwrap()),
         Box::new(LaplacePosterior::fit(spec, prior, &data).unwrap()),
-        Box::new(LaplaceLogPosterior::fit(spec, prior, &data).unwrap()),
     ];
     for method in &methods {
         let summary = PosteriorSummary::compute(method.as_ref(), 0.99);

@@ -241,31 +241,6 @@ fn tables4_and_5_reliability_structure_holds() {
 }
 
 #[test]
-fn metropolis_grouped_agrees_with_augmented_gibbs() {
-    // The paper notes MH is the general-purpose fallback for grouped
-    // data; both samplers must target the same posterior.
-    let spec = ModelSpec::goel_okumoto();
-    let data: ObservedData = sys17::grouped().into();
-    let prior = NhppPrior::paper_info_grouped();
-    let gibbs = McmcPosterior::fit_gibbs(spec, prior, &data, McmcOptions::default()).unwrap();
-    let mh = McmcPosterior::fit_metropolis(
-        spec,
-        prior,
-        &data,
-        McmcOptions {
-            burn_in: 20_000,
-            thin: 10,
-            n_samples: 20_000,
-            seed: 11,
-        },
-    )
-    .unwrap();
-    assert!(rel(gibbs.mean_omega(), mh.mean_omega()) < 0.03);
-    assert!(rel(gibbs.mean_beta(), mh.mean_beta()) < 0.03);
-    assert!(rel(gibbs.var_omega(), mh.var_omega()) < 0.25);
-}
-
-#[test]
 fn figure1_density_orderings() {
     // The joint densities that Figure 1 plots: VB2 and NINT should assign
     // similar (normalised) density at the NINT mean, while VB1's density
