@@ -35,8 +35,6 @@ pub struct Scenario {
     pub prior: NhppPrior,
     /// Mission lengths `u` probed by the reliability tables.
     pub missions: [f64; 2],
-    /// `true` for the flat-prior scenarios (improper-posterior handling).
-    pub noinfo: bool,
 }
 
 impl Scenario {
@@ -47,7 +45,6 @@ impl Scenario {
             data: sys17::failure_times().into(),
             prior: NhppPrior::paper_info_times(),
             missions: [1_000.0, 10_000.0],
-            noinfo: false,
         }
     }
 
@@ -58,7 +55,6 @@ impl Scenario {
             data: sys17::failure_times().into(),
             prior: NhppPrior::flat(),
             missions: [1_000.0, 10_000.0],
-            noinfo: true,
         }
     }
 
@@ -69,7 +65,6 @@ impl Scenario {
             data: sys17::grouped().into(),
             prior: NhppPrior::paper_info_grouped(),
             missions: [1.0, 5.0],
-            noinfo: false,
         }
     }
 
@@ -80,7 +75,6 @@ impl Scenario {
             data: sys17::grouped().into(),
             prior: NhppPrior::flat(),
             missions: [1.0, 5.0],
-            noinfo: true,
         }
     }
 
@@ -100,22 +94,15 @@ impl Scenario {
         vec![Self::dt_info(), Self::dg_info()]
     }
 
-    /// The VB2 options appropriate for this scenario: strict adaptive
-    /// truncation for proper priors, capped growth for flat priors whose
-    /// exact posterior over `N` is improper (see `EXPERIMENTS.md`).
+    /// The VB2 options for this scenario: the truncation its prior calls
+    /// for ([`Truncation::for_prior`]). Under a flat prior the truncation
+    /// point is a genuine modelling choice; the 5·m cap keeps the VB2
+    /// view of the improper posterior comparable to the box-truncated
+    /// NINT view (see `EXPERIMENTS.md` for the cap-sensitivity sweep).
     pub fn vb2_options(&self) -> Vb2Options {
-        if self.noinfo {
-            // The flat-prior posterior over N has a harmonic tail, so the
-            // truncation point is a genuine modelling choice; 5·m keeps
-            // the VB2 view of the improper posterior comparable to the
-            // box-truncated NINT view (see EXPERIMENTS.md for the
-            // cap-sensitivity sweep).
-            Vb2Options {
-                truncation: Truncation::flat_prior(self.data.total_count() as u64),
-                ..Vb2Options::default()
-            }
-        } else {
-            Vb2Options::default()
+        Vb2Options {
+            truncation: Truncation::for_prior(&self.prior, self.data.total_count() as u64),
+            ..Vb2Options::default()
         }
     }
 }
@@ -228,7 +215,7 @@ mod tests {
         let all = Scenario::all();
         assert_eq!(all.len(), 4);
         assert_eq!(all[0].name, "DT-Info");
-        assert!(all[2].noinfo && all[3].noinfo);
+        assert!(all[2..].iter().all(|s| s.prior == NhppPrior::flat()));
         assert_eq!(Scenario::info_only().len(), 2);
     }
 

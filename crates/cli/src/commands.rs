@@ -8,7 +8,6 @@ use nhpp_bayes::mcmc::{McmcOptions, McmcPosterior};
 use nhpp_bayes::nint::{bounds_from_posterior, NintOptions, NintPosterior};
 use nhpp_data::simulate::NhppSimulator;
 use nhpp_data::{io, laplace_trend_factor, ObservedData};
-use nhpp_dist::Gamma;
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::selection::{akaike_weights, score_models};
 use nhpp_models::{confidence, ModelSpec, Posterior};
@@ -87,7 +86,8 @@ COMMON OPTIONS:
   --model M          go | dss | gamma:<alpha0>        [default go]
   --method M         vb2 | vb1 | laplace | mcmc | nint | profile | all
                      [default vb2]
-  --prior P          flat | wmean,wsd,bmean,bsd       [default flat]
+  --prior P          flat | paper-info-times | paper-info-grouped
+                     | wmean,wsd,bmean,bsd            [default flat]
   --level L          credible/confidence level        [default 0.95]
   --threads N        worker threads for the VB2 component sweep
                      (1 = serial, 0 = auto-detect)    [default 1]
@@ -128,7 +128,6 @@ SERVICE (see README \"Running as a service\"):
          OP: create | ingest | fit | interval | predict | reliability
              | spc | monitor | metrics | check
          create:  --kind times|grouped --model M --prior P
-                  (prior also accepts paper-info-times / paper-info-grouped)
          ingest:  --file CSV [--batch N]  replay a trace, N events at a time
          check:   --golden FILE --prefix P  compare the served posterior
                   against the golden fixture (nonzero exit on mismatch)
@@ -270,57 +269,20 @@ fn load_data(args: &ParsedArgs) -> Result<ObservedData, CliError> {
     }
 }
 
-fn parse_model(args: &ParsedArgs) -> Result<ModelSpec, CliError> {
-    match args.get("model").unwrap_or("go") {
-        "go" => Ok(ModelSpec::goel_okumoto()),
-        "dss" => Ok(ModelSpec::delayed_s_shaped()),
-        other => {
-            let alpha0 = other
-                .strip_prefix("gamma:")
-                .and_then(|v| v.parse::<f64>().ok())
-                .ok_or_else(|| {
-                    CliError::Run(format!("bad --model '{other}' (go | dss | gamma:<a0>)"))
-                })?;
-            ModelSpec::gamma_type(alpha0).map_err(run_err("invalid alpha0"))
-        }
-    }
+/// `--model`, by `ModelSpec`'s grammar; default `go`.
+fn model(args: &ParsedArgs) -> Result<ModelSpec, CliError> {
+    args.get("model")
+        .unwrap_or("go")
+        .parse()
+        .map_err(run_err("--model"))
 }
 
-fn parse_prior(args: &ParsedArgs) -> Result<NhppPrior, CliError> {
-    match args.get("prior").unwrap_or("flat") {
-        "flat" => Ok(NhppPrior::flat()),
-        spec => {
-            let parts: Vec<f64> = spec
-                .split(',')
-                .map(|p| p.trim().parse::<f64>())
-                .collect::<Result<_, _>>()
-                .map_err(run_err("parsing --prior"))?;
-            if parts.len() != 4 {
-                return Err(CliError::Run(
-                    "--prior expects 'flat' or four numbers: wmean,wsd,bmean,bsd".into(),
-                ));
-            }
-            Ok(NhppPrior::informative(
-                Gamma::from_mean_sd(parts[0], parts[1]).map_err(run_err("omega prior"))?,
-                Gamma::from_mean_sd(parts[2], parts[3]).map_err(run_err("beta prior"))?,
-            ))
-        }
-    }
-}
-
-/// VB2 options matching the prior kind (capped truncation for flat
-/// priors, whose exact posterior over N is improper).
-fn vb2_options(prior: &NhppPrior, data: &ObservedData, threads: usize) -> Vb2Options {
-    let truncation = if prior.omega.is_flat() || prior.beta.is_flat() {
-        Truncation::flat_prior(data.total_count() as u64)
-    } else {
-        Truncation::default()
-    };
-    Vb2Options {
-        truncation,
-        threads,
-        ..Vb2Options::default()
-    }
+/// `--prior`, by `NhppPrior`'s grammar; default `flat`.
+fn prior(args: &ParsedArgs) -> Result<NhppPrior, CliError> {
+    args.get("prior")
+        .unwrap_or("flat")
+        .parse()
+        .map_err(run_err("--prior"))
 }
 
 /// Supervised-pipeline options from the CLI flags.
@@ -338,9 +300,12 @@ fn robust_options(
     if max_attempts == 0 {
         return Err(CliError::Run("--max-attempts must be at least 1".into()));
     }
-    let threads = args.get_u64("threads", 1)? as usize;
     Ok(RobustOptions {
-        base: vb2_options(prior, data, threads),
+        base: Vb2Options {
+            truncation: Truncation::for_prior(prior, data.total_count() as u64),
+            threads: args.get_u64("threads", 1)? as usize,
+            ..Vb2Options::default()
+        },
         retry: RetryPolicy {
             max_attempts,
             ..RetryPolicy::default()
@@ -436,8 +401,8 @@ fn fit_method(
 
 fn cmd_fit(args: &ParsedArgs) -> Result<String, CliError> {
     let data = load_data(args)?;
-    let spec = parse_model(args)?;
-    let prior = parse_prior(args)?;
+    let spec = model(args)?;
+    let prior = prior(args)?;
     let level = args.get_f64("level", 0.95)?;
     let method = args.get("method").unwrap_or("vb2").to_string();
 
@@ -522,7 +487,7 @@ fn cmd_fit(args: &ParsedArgs) -> Result<String, CliError> {
 
 fn cmd_report(args: &ParsedArgs) -> Result<String, CliError> {
     let data = load_data(args)?;
-    let prior = parse_prior(args)?;
+    let prior = prior(args)?;
     let level = args.get_f64("level", 0.95)?;
     let mut out = String::new();
     writeln!(out, "# NHPP reliability analysis\n").unwrap();
@@ -705,8 +670,8 @@ fn cmd_report(args: &ParsedArgs) -> Result<String, CliError> {
 
 fn cmd_predict(args: &ParsedArgs) -> Result<String, CliError> {
     let data = load_data(args)?;
-    let spec = parse_model(args)?;
-    let prior = parse_prior(args)?;
+    let spec = model(args)?;
+    let prior = prior(args)?;
     let window = args.get_f64("window", data.observation_end() * 0.1)?;
     let level = args.get_f64("level", 0.95)?;
 
@@ -760,7 +725,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, CliError> {
     let beta = args.get_f64("beta", 1e-5)?;
     let t_end = args.get_f64("t-end", 2e5)?;
     let seed = args.get_u64("seed", 42)?;
-    let spec = parse_model(args)?;
+    let spec = model(args)?;
     let law = spec.failure_law(beta).map_err(run_err("failure law"))?;
     let sim = NhppSimulator::new(omega, law).map_err(run_err("simulator"))?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -1134,7 +1099,103 @@ mod tests {
             "1,2,3",
         ]))
         .unwrap_err();
-        assert!(err.to_string().contains("four numbers"));
+        assert!(
+            err.to_string().contains("--prior: unknown prior '1,2,3'"),
+            "{err}"
+        );
         std::fs::remove_file(path).ok();
+    }
+
+    /// The `/fit` report for one scenario's data, served through the
+    /// routes of an in-memory service.
+    fn served_fit(kind: &str, prior: &str, csv: &str) -> nhpp_data::json::Value {
+        use nhpp_serve::http::Request;
+        use nhpp_serve::{routes, AppState, FitCache, FitSettings, Metrics, Registry};
+        let state = AppState {
+            registry: Registry::open(None).unwrap(),
+            metrics: Metrics::new(),
+            fit: FitSettings::default(),
+            cache: FitCache::new(0),
+            retry_after_secs: 1,
+            calibration: None,
+            monitor: None,
+            quiet: true,
+        };
+        let call = |method: &str, path: &str, query: &[(&str, &str)], body: &str| {
+            let request = Request {
+                method: method.to_string(),
+                path: path.to_string(),
+                query: query
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+                body: body.as_bytes().to_vec(),
+            };
+            let response = routes::handle(&state, &request);
+            assert!(response.status < 300, "{method} {path}: {}", response.body);
+            response.body
+        };
+        let project = [("kind", kind), ("model", "go"), ("prior", prior)];
+        call("PUT", "/projects/p", &project, "");
+        call("POST", "/projects/p/events", &[], csv);
+        nhpp_data::json::parse(&call("GET", "/projects/p/fit", &[], "")).unwrap()
+    }
+
+    #[test]
+    fn cli_fit_matches_the_served_fit_on_the_paper_scenarios() {
+        for scenario in nhpp_bench::Scenario::all() {
+            let label = match scenario.name {
+                "DT-Info" => "paper-info-times",
+                "DG-Info" => "paper-info-grouped",
+                _ => "flat",
+            };
+            assert_eq!(label.parse::<NhppPrior>(), Ok(scenario.prior));
+            let mut csv = Vec::new();
+            let kind = match &scenario.data {
+                ObservedData::Times(d) => io::write_failure_times(&mut csv, d).map(|_| "times"),
+                ObservedData::Grouped(d) => io::write_grouped(&mut csv, d).map(|_| "grouped"),
+            }
+            .unwrap();
+            let path = std::env::temp_dir().join(format!(
+                "nhpp_cli_served_{}_{}.csv",
+                scenario.name,
+                std::process::id()
+            ));
+            std::fs::write(&path, &csv).unwrap();
+
+            // The CLI's `fit` path: its arguments, its options, its fit.
+            let mut words = vec!["fit", "--data", path.to_str().unwrap(), "--prior", label];
+            if kind == "grouped" {
+                words.push("--grouped");
+            }
+            let args = parse(&words);
+            let data = load_data(&args).unwrap();
+            let prior = prior(&args).unwrap();
+            let robust = robust_options(&args, &prior, &data).unwrap();
+            let fit = fit_supervised(model(&args).unwrap(), prior, &data, robust).unwrap();
+            let (cli, report) = (fit.posterior, fit.report);
+            std::fs::remove_file(&path).ok();
+
+            let served = served_fit(kind, label, std::str::from_utf8(&csv).unwrap());
+            let served = served.as_object().unwrap();
+            let num = |key: &str| served[key].as_f64().unwrap().to_bits();
+            let name = scenario.name;
+            assert_eq!(num("mean_omega"), cli.mean_omega().to_bits(), "{name}");
+            assert_eq!(num("sd_omega"), cli.var_omega().sqrt().to_bits(), "{name}");
+            assert_eq!(num("mean_beta"), cli.mean_beta().to_bits(), "{name}");
+            assert_eq!(num("sd_beta"), cli.var_beta().sqrt().to_bits(), "{name}");
+            assert_eq!(num("covariance"), cli.covariance().to_bits(), "{name}");
+            assert_eq!(num("mean_n"), cli.mean_n().unwrap().to_bits(), "{name}");
+            assert_eq!(
+                served["provenance"].as_str(),
+                Some(report.provenance),
+                "{name}"
+            );
+            assert_eq!(
+                served["attempts"].as_f64(),
+                Some(report.total_attempts() as f64),
+                "{name}"
+            );
+        }
     }
 }

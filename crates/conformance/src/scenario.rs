@@ -159,9 +159,20 @@ impl GridCell {
         }
     }
 
-    /// VB2 options matching the bench `Scenario` policy: strict adaptive
-    /// truncation under proper priors, capped growth under flat priors
-    /// (whose exact posterior over the latent count is improper).
+    /// VB2 options for this cell: strict adaptive truncation under
+    /// proper priors, capped growth under flat priors (whose exact
+    /// posterior over the latent count is improper).
+    ///
+    /// The NoInfo cap is not [`Truncation::for_prior`], the rule the CLI,
+    /// the service and the bench share. That rule caps at `5·m` from each
+    /// campaign's observed count; this one caps at `5·ω_true`, fixed per
+    /// cell (at least `5·m` in expectation, since `E[m] ≤ ω_true`), so
+    /// every replication of a cell is scored against the same
+    /// truncation of the improper posterior. It is kept because adopting
+    /// the shared rule would move the conformance numbers and possibly
+    /// the NoInfo factors of `tests/golden/calibration_v1.json`, which
+    /// the service applies to fits truncated by the shared rule; the
+    /// choice is recorded as open in `ROADMAP.md`.
     pub fn vb2_options(&self) -> Vb2Options {
         match self.prior {
             PriorKind::Info => Vb2Options::default(),

@@ -131,15 +131,21 @@ impl Default for Truncation {
 }
 
 impl Truncation {
-    /// The capped policy for a flat (NoInfo) prior over `observed`
-    /// failures: `n_max` grows to at most five times the observed count
-    /// (and at least 100), saturating at `u64::MAX`. The CLI, the
-    /// service and the bench scenarios all truncate flat-prior fits
-    /// here (see `EXPERIMENTS.md` for the cap-sensitivity sweep).
-    pub fn flat_prior(observed: u64) -> Truncation {
-        Truncation::AdaptiveCapped {
-            epsilon: 5e-15,
-            cap: observed.saturating_mul(5).max(100),
+    /// The fit policy for `prior` over `observed` failures: the paper's
+    /// adaptive growth under a proper prior; under a flat (NoInfo)
+    /// prior, whose exact posterior over `N` is improper, the same
+    /// growth capped at five times the observed count (and at least
+    /// 100), saturating at `u64::MAX`. The CLI, the service and the
+    /// bench scenarios all truncate here (see `EXPERIMENTS.md` for the
+    /// cap-sensitivity sweep).
+    pub fn for_prior(prior: &NhppPrior, observed: u64) -> Truncation {
+        if prior.omega.is_flat() || prior.beta.is_flat() {
+            Truncation::AdaptiveCapped {
+                epsilon: 5e-15,
+                cap: observed.saturating_mul(5).max(100),
+            }
+        } else {
+            Truncation::default()
         }
     }
 }
@@ -2386,8 +2392,9 @@ mod tests {
 
     #[test]
     fn flat_prior_cap_saturates_instead_of_overflowing() {
+        let flat = NhppPrior::flat();
         assert_eq!(
-            Truncation::flat_prior(38),
+            Truncation::for_prior(&flat, 38),
             Truncation::AdaptiveCapped {
                 epsilon: 5e-15,
                 cap: 190,
@@ -2395,7 +2402,7 @@ mod tests {
         );
         for observed in [u64::MAX / 5 + 1, u64::MAX] {
             assert_eq!(
-                Truncation::flat_prior(observed),
+                Truncation::for_prior(&flat, observed),
                 Truncation::AdaptiveCapped {
                     epsilon: 5e-15,
                     cap: u64::MAX,
@@ -2403,9 +2410,23 @@ mod tests {
             );
         }
         assert!(matches!(
-            Truncation::flat_prior(3),
+            Truncation::for_prior(&flat, 3),
             Truncation::AdaptiveCapped { cap: 100, .. }
         ));
+        // One flat component is enough to make the posterior improper;
+        // a proper prior keeps the paper's uncapped growth.
+        let half_flat = NhppPrior {
+            beta: nhpp_models::prior::ParamPrior::Flat,
+            ..NhppPrior::paper_info_times()
+        };
+        assert_eq!(
+            Truncation::for_prior(&half_flat, 38),
+            Truncation::for_prior(&flat, 38)
+        );
+        assert_eq!(
+            Truncation::for_prior(&NhppPrior::paper_info_times(), u64::MAX),
+            Truncation::default()
+        );
     }
 
     #[test]

@@ -53,24 +53,6 @@ pub trait Posterior {
         (self.quantile_beta(tail), self.quantile_beta(1.0 - tail))
     }
 
-    /// Highest-density credible interval for `ω`: the shortest interval
-    /// carrying `level` posterior mass. For right-skewed posteriors it
-    /// sits left of (and inside the width of) the equal-tail interval.
-    ///
-    /// Computed by golden-section search over the lower tail mass
-    /// `a ∈ [0, 1 − level]`, minimising
-    /// `quantile(a + level) − quantile(a)` — which assumes a unimodal
-    /// marginal (true for every posterior in this workspace).
-    fn hdi_omega(&self, level: f64) -> (f64, f64) {
-        hdi_from_quantiles(|p| self.quantile_omega(p), level)
-    }
-
-    /// Highest-density credible interval for `β` (see
-    /// [`Posterior::hdi_omega`]).
-    fn hdi_beta(&self, level: f64) -> (f64, f64) {
-        hdi_from_quantiles(|p| self.quantile_beta(p), level)
-    }
-
     /// Approximate joint log-density `ln p(ω, β | D)` where the method
     /// provides one analytically (`None` for sample-based methods such as
     /// MCMC, which the paper visualises by scatter instead).
@@ -93,41 +75,6 @@ pub trait Posterior {
             self.reliability_quantile(t, u, 1.0 - tail),
         )
     }
-}
-
-/// Shortest `level`-mass interval from a marginal quantile function,
-/// assuming unimodality (golden-section search over the lower tail).
-fn hdi_from_quantiles<Q: Fn(f64) -> f64>(quantile: Q, level: f64) -> (f64, f64) {
-    if !(0.0 < level && level < 1.0) {
-        return (f64::NAN, f64::NAN);
-    }
-    let width = |a: f64| quantile(a + level) - quantile(a);
-    let (mut lo, mut hi) = (0.0, 1.0 - level);
-    // Golden-section search for the minimising lower-tail mass.
-    let inv_phi = 0.618_033_988_749_894_9_f64;
-    let mut c = hi - inv_phi * (hi - lo);
-    let mut d = lo + inv_phi * (hi - lo);
-    let (mut fc, mut fd) = (width(c), width(d));
-    for _ in 0..120 {
-        if fc < fd {
-            hi = d;
-            d = c;
-            fd = fc;
-            c = hi - inv_phi * (hi - lo);
-            fc = width(c);
-        } else {
-            lo = c;
-            c = d;
-            fc = fd;
-            d = lo + inv_phi * (hi - lo);
-            fd = width(d);
-        }
-        if hi - lo < 1e-10 {
-            break;
-        }
-    }
-    let a = 0.5 * (lo + hi);
-    (quantile(a), quantile(a + level))
 }
 
 /// A flat record of the quantities the paper tabulates, convenient for
@@ -250,21 +197,6 @@ mod tests {
         let (rl, rh) = toy.reliability_interval(0.0, 1.0, 0.99);
         assert!((rl - 0.005).abs() < 1e-12);
         assert!((rh - 0.995).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hdi_matches_equal_tail_for_symmetric_marginals() {
-        // The Toy ω-marginal is Exponential(1): strongly right-skewed, so
-        // the HDI starts at 0 (density is monotone decreasing) and is
-        // strictly shorter than the equal-tail interval.
-        let toy = Toy;
-        let (lo, hi) = toy.hdi_omega(0.9);
-        let (et_lo, et_hi) = toy.credible_interval_omega(0.9);
-        assert!(lo < et_lo + 1e-6, "hdi lower {lo} vs equal-tail {et_lo}");
-        assert!(hi - lo < et_hi - et_lo, "hdi width vs equal-tail width");
-        // Exponential HDI at level q is exactly [0, −ln(1−q)].
-        assert!(lo < 1e-4, "lo={lo}");
-        assert!((hi - -(0.1f64).ln()).abs() < 1e-3, "hi={hi}");
     }
 
     #[test]

@@ -114,6 +114,40 @@ impl NhppPrior {
     }
 }
 
+/// The prior grammar shared by the CLI's `--prior` and the service's
+/// `prior=`: `flat`, `paper-info-times`, `paper-info-grouped`, or
+/// `wmean,wsd,bmean,bsd` — the means and standard deviations of the
+/// Gamma priors on `ω` and `β`, each component trimmed of surrounding
+/// whitespace.
+impl std::str::FromStr for NhppPrior {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<NhppPrior, String> {
+        match text {
+            "flat" => Ok(NhppPrior::flat()),
+            "paper-info-times" => Ok(NhppPrior::paper_info_times()),
+            "paper-info-grouped" => Ok(NhppPrior::paper_info_grouped()),
+            other => {
+                let parts: Vec<&str> = other.split(',').map(str::trim).collect();
+                let [wmean, wsd, bmean, bsd] = parts[..] else {
+                    return Err(format!(
+                        "unknown prior '{other}' \
+                         (paper-info-times|paper-info-grouped|flat|wmean,wsd,bmean,bsd)"
+                    ));
+                };
+                let num = |raw: &str| {
+                    raw.parse::<f64>()
+                        .map_err(|_| format!("bad prior component '{raw}'"))
+                };
+                let (wmean, wsd, bmean, bsd) = (num(wmean)?, num(wsd)?, num(bmean)?, num(bsd)?);
+                let omega = Gamma::from_mean_sd(wmean, wsd).map_err(|e| e.to_string())?;
+                let beta = Gamma::from_mean_sd(bmean, bsd).map_err(|e| e.to_string())?;
+                Ok(NhppPrior::informative(omega, beta))
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +185,63 @@ mod tests {
         assert!((s - 10.0).abs() < 1e-10);
         assert!((r - 0.2).abs() < 1e-12);
         assert!(ParamPrior::from_mean_sd(-1.0, 1.0).is_err());
+    }
+
+    #[test]
+    fn parse_helpers_reject_garbage() {
+        use crate::ModelSpec;
+        assert_eq!("go".parse(), Ok(ModelSpec::goel_okumoto()));
+        assert_eq!("dss".parse(), Ok(ModelSpec::delayed_s_shaped()));
+        assert_eq!("gamma:2.5".parse(), Ok(ModelSpec::gamma_type(2.5).unwrap()));
+        assert_eq!(
+            "weibull".parse::<ModelSpec>(),
+            Err("unknown model 'weibull' (go|dss|gamma:<a0>)".to_string())
+        );
+        assert_eq!(
+            "gamma: 2".parse::<ModelSpec>(),
+            Err("bad gamma shape ' 2'".to_string())
+        );
+        for bad in ["", "GO", "gamma:", "gamma:-1", "gamma:inf"] {
+            assert!(bad.parse::<ModelSpec>().is_err(), "{bad}");
+        }
+
+        assert_eq!("flat".parse(), Ok(NhppPrior::flat()));
+        assert_eq!(
+            "paper-info-times".parse(),
+            Ok(NhppPrior::paper_info_times())
+        );
+        assert_eq!(
+            "paper-info-grouped".parse(),
+            Ok(NhppPrior::paper_info_grouped())
+        );
+        let tuple = NhppPrior::informative(
+            Gamma::from_mean_sd(50.0, 15.8).unwrap(),
+            Gamma::from_mean_sd(1e-5, 3.2e-6).unwrap(),
+        );
+        assert_eq!("50,15.8,1e-5,3.2e-6".parse(), Ok(tuple));
+        // Each tuple component is trimmed, as CLI users type them.
+        assert_eq!(" 50 , 15.8,1e-5,\t3.2e-6 ".parse(), Ok(tuple));
+        assert_eq!(
+            "1,2,3".parse::<NhppPrior>(),
+            Err("unknown prior '1,2,3' \
+                 (paper-info-times|paper-info-grouped|flat|wmean,wsd,bmean,bsd)"
+                .to_string())
+        );
+        assert_eq!(
+            "a,b,c,d".parse::<NhppPrior>(),
+            Err("bad prior component 'a'".to_string())
+        );
+        for bad in [
+            "",
+            " flat",
+            "Flat",
+            "paper-info",
+            "5 0,15.8,1e-5,3.2e-6",
+            "50,-1,1e-5,3.2e-6",
+            "50,15.8,1e-5,3.2e-6,1",
+        ] {
+            assert!(bad.parse::<NhppPrior>().is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -70,6 +70,28 @@ impl ModelSpec {
     }
 }
 
+/// The model grammar shared by the CLI's `--model` and the service's
+/// `model=`: `go`, `dss` or `gamma:<α₀>`.
+impl std::str::FromStr for ModelSpec {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<ModelSpec, String> {
+        match text {
+            "go" => Ok(ModelSpec::goel_okumoto()),
+            "dss" => Ok(ModelSpec::delayed_s_shaped()),
+            other => {
+                let raw = other
+                    .strip_prefix("gamma:")
+                    .ok_or_else(|| format!("unknown model '{other}' (go|dss|gamma:<a0>)"))?;
+                let alpha0 = raw
+                    .parse()
+                    .map_err(|_| format!("bad gamma shape '{raw}'"))?;
+                ModelSpec::gamma_type(alpha0).map_err(|e| e.to_string())
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

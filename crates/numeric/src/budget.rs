@@ -220,17 +220,6 @@ impl SharedBudget {
     pub fn absorb(&self, child: &Budget) -> Result<(), NumericError> {
         self.charge(child.used())
     }
-
-    /// Collapses the shared view back into a plain [`Budget`] carrying
-    /// the accumulated consumption.
-    pub fn into_budget(self) -> Budget {
-        Budget {
-            limit: self.limit,
-            used: self.used.into_inner(),
-            deadline: self.deadline,
-            charges_since_clock: 0,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -327,14 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn shared_budget_inherits_prior_consumption_and_collapses_back() {
+    fn shared_budget_inherits_prior_consumption() {
         let mut base = Budget::iterations(10);
         base.charge(3).unwrap();
         let shared = SharedBudget::from_budget(&base);
         shared.charge(2).unwrap();
-        let folded = shared.into_budget();
-        assert_eq!(folded.used(), 5);
-        assert_eq!(folded.remaining(), 5);
+        assert_eq!(shared.used(), 5);
+        assert_eq!(shared.remaining(), 5);
     }
 
     #[test]

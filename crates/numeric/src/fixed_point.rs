@@ -4,7 +4,8 @@
 //! (24)–(27): `ζ = g(ξ)` and `ξ = h(ζ)`. Substituting one into the other
 //! gives a scalar fixed-point problem `ξ = F(ξ)` which the paper solves by
 //! successive substitution (global convergence, per Attias 1999) and
-//! suggests accelerating with Newton. Both are provided here.
+//! suggests accelerating with Newton. Both are provided here, budgeted,
+//! with bisection as the last-resort solver.
 
 use crate::budget::Budget;
 use crate::NumericError;
@@ -18,155 +19,29 @@ pub struct FixedPoint {
     pub iterations: usize,
 }
 
-/// Successive substitution `x ← F(x)` until `|Δx| <= tol·max(|x|, 1)`.
-///
-/// # Errors
-///
-/// * [`NumericError::NonFinite`] if `F` produces NaN/∞.
-/// * [`NumericError::MaxIterations`] if the budget is exhausted.
-///
-/// # Example
-///
-/// ```
-/// use nhpp_numeric::fixed_point::successive_substitution;
-/// # fn main() -> Result<(), nhpp_numeric::NumericError> {
-/// // x = cos x has the Dottie number as fixed point.
-/// let fp = successive_substitution(|x| x.cos(), 1.0, 1e-12, 10_000)?;
-/// assert!((fp.value - 0.739_085_133_215_160_6).abs() < 1e-10);
-/// # Ok(())
-/// # }
-/// ```
-pub fn successive_substitution<F: FnMut(f64) -> f64>(
-    mut f: F,
-    x0: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<FixedPoint, NumericError> {
-    let mut x = x0;
-    for i in 0..max_iter {
-        let next = f(x);
-        if !next.is_finite() {
-            return Err(NumericError::NonFinite {
-                context: "successive substitution update",
-            });
-        }
-        if (next - x).abs() <= tol * x.abs().max(1.0) {
-            return Ok(FixedPoint {
-                value: next,
-                iterations: i + 1,
-            });
-        }
-        x = next;
-    }
-    Err(NumericError::MaxIterations {
-        best: x,
-        iterations: max_iter,
-    })
-}
-
-/// Aitken Δ²-accelerated successive substitution (Steffensen's method).
-///
-/// Each acceleration step costs two map evaluations but converges
-/// quadratically near the fixed point, typically cutting iteration counts
-/// by an order of magnitude on the VB2 inner problem.
-///
-/// # Errors
-///
-/// Same contract as [`successive_substitution`].
-pub fn aitken<F: FnMut(f64) -> f64>(
-    mut f: F,
-    x0: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<FixedPoint, NumericError> {
-    let mut x = x0;
-    for i in 0..max_iter {
-        let x1 = f(x);
-        let x2 = f(x1);
-        if !x1.is_finite() || !x2.is_finite() {
-            return Err(NumericError::NonFinite {
-                context: "aitken update",
-            });
-        }
-        let denom = x2 - 2.0 * x1 + x;
-        let accel = if denom.abs() > f64::EPSILON * x2.abs().max(1.0) {
-            let d = x1 - x;
-            x - d * d / denom
-        } else {
-            x2
-        };
-        let next = if accel.is_finite() { accel } else { x2 };
-        if (next - x).abs() <= tol * x.abs().max(1.0) {
-            return Ok(FixedPoint {
-                value: next,
-                iterations: i + 1,
-            });
-        }
-        x = next;
-    }
-    Err(NumericError::MaxIterations {
-        best: x,
-        iterations: max_iter,
-    })
-}
-
-/// Newton iteration on the residual `F(x) − x`, with derivative obtained
-/// by central finite differences, safeguarded by falling back to plain
-/// substitution steps whenever Newton diverges or leaves `(0, ∞)`.
-///
-/// Intended for the VB2 inner problem where the fixed-point map is smooth
-/// and the iterate must stay positive.
-///
-/// # Errors
-///
-/// Same contract as [`successive_substitution`].
-pub fn newton_fixed_point<F: FnMut(f64) -> f64>(
-    mut f: F,
-    x0: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<FixedPoint, NumericError> {
-    let mut x = x0;
-    for i in 0..max_iter {
-        let fx = f(x);
-        if !fx.is_finite() {
-            return Err(NumericError::NonFinite {
-                context: "newton fixed-point update",
-            });
-        }
-        let resid = fx - x;
-        if resid.abs() <= tol * x.abs().max(1.0) {
-            return Ok(FixedPoint {
-                value: fx,
-                iterations: i + 1,
-            });
-        }
-        let h = 1e-6 * x.abs().max(1e-12);
-        let fp = (f(x + h) - f(x - h)) / (2.0 * h);
-        // residual'(x) = F'(x) − 1
-        let deriv = fp - 1.0;
-        let newton = x - resid / deriv;
-        x = if deriv.abs() > 1e-12 && newton.is_finite() && newton > 0.0 {
-            newton
-        } else {
-            fx
-        };
-    }
-    Err(NumericError::MaxIterations {
-        best: x,
-        iterations: max_iter,
-    })
-}
-
-/// Budget-aware successive substitution: like
-/// [`successive_substitution`], but the iteration allowance comes from
-/// a shared cooperative [`Budget`] (iterations and/or deadline) so an
+/// Successive substitution `x ← F(x)` until `|Δx| <= tol·max(|x|, 1)`,
+/// the paper's inner solver. The iteration allowance comes from a
+/// shared cooperative [`Budget`] (iterations and/or deadline) so an
 /// outer supervisor can bound the *total* work of many nested solves.
 ///
 /// # Errors
 ///
 /// * [`NumericError::NonFinite`] if `F` produces NaN/∞.
 /// * [`NumericError::BudgetExhausted`] when the budget trips.
+///
+/// # Example
+///
+/// ```
+/// use nhpp_numeric::fixed_point::successive_substitution_budgeted;
+/// use nhpp_numeric::Budget;
+/// # fn main() -> Result<(), nhpp_numeric::NumericError> {
+/// // x = cos x has the Dottie number as fixed point.
+/// let mut budget = Budget::iterations(10_000);
+/// let fp = successive_substitution_budgeted(|x| x.cos(), 1.0, 1e-12, &mut budget)?;
+/// assert!((fp.value - 0.739_085_133_215_160_6).abs() < 1e-10);
+/// # Ok(())
+/// # }
+/// ```
 pub fn successive_substitution_budgeted<F: FnMut(f64) -> f64>(
     mut f: F,
     x0: f64,
@@ -194,9 +69,12 @@ pub fn successive_substitution_budgeted<F: FnMut(f64) -> f64>(
     }
 }
 
-/// Budget-aware Newton iteration on the residual `F(x) − x`; see
-/// [`newton_fixed_point`] for the method and [`Budget`] for the
-/// cooperative limit semantics.
+/// Newton iteration on the residual `F(x) − x`, with the derivative
+/// from central finite differences, safeguarded by falling back to a
+/// plain substitution step whenever Newton diverges or leaves `(0, ∞)`
+/// — for the VB2 inner problem, whose map is smooth and whose iterate
+/// must stay positive. See [`Budget`] for the cooperative limit
+/// semantics.
 ///
 /// # Errors
 ///
@@ -323,44 +201,31 @@ mod tests {
     const DOTTIE: f64 = 0.739_085_133_215_160_6;
 
     #[test]
-    fn substitution_converges_to_dottie() {
-        let fp = successive_substitution(|x| x.cos(), 1.0, 1e-13, 10_000).unwrap();
-        assert!((fp.value - DOTTIE).abs() < 1e-11);
-    }
-
-    #[test]
-    fn aitken_converges_faster() {
-        let plain = successive_substitution(|x| x.cos(), 1.0, 1e-13, 10_000).unwrap();
-        let accel = aitken(|x| x.cos(), 1.0, 1e-13, 10_000).unwrap();
-        assert!((accel.value - DOTTIE).abs() < 1e-11);
-        assert!(accel.iterations < plain.iterations);
-    }
-
-    #[test]
     fn newton_converges_and_is_fast() {
-        let fp = newton_fixed_point(|x| x.cos(), 1.0, 1e-13, 100).unwrap();
+        let mut budget = Budget::iterations(100);
+        let fp = newton_fixed_point_budgeted(|x| x.cos(), 1.0, 1e-13, &mut budget).unwrap();
         assert!((fp.value - DOTTIE).abs() < 1e-10);
         assert!(fp.iterations <= 10);
     }
 
     #[test]
-    fn substitution_detects_divergence_budget() {
-        // x ← 2x has no positive finite fixed point reachable from 1.
-        let err = successive_substitution(|x| 2.0 * x, 1.0, 1e-12, 50).unwrap_err();
-        assert!(matches!(err, NumericError::MaxIterations { .. }));
-    }
-
-    #[test]
     fn substitution_detects_non_finite() {
-        let err = successive_substitution(|_| f64::NAN, 1.0, 1e-12, 50).unwrap_err();
+        let mut budget = Budget::iterations(50);
+        let err =
+            successive_substitution_budgeted(|_| f64::NAN, 1.0, 1e-12, &mut budget).unwrap_err();
+        assert!(matches!(err, NumericError::NonFinite { .. }));
+        let err =
+            newton_fixed_point_budgeted(|_| f64::INFINITY, 1.0, 1e-12, &mut budget).unwrap_err();
         assert!(matches!(err, NumericError::NonFinite { .. }));
     }
 
     #[test]
     fn fixed_point_at_start_returns_quickly() {
-        let fp = successive_substitution(|x| x, 3.0, 1e-12, 10).unwrap();
-        assert_eq!(fp.value, 3.0);
-        assert_eq!(fp.iterations, 1);
+        let mut budget = Budget::iterations(10);
+        let fp = successive_substitution_budgeted(|x| x, 3.0, 1e-12, &mut budget).unwrap();
+        assert_eq!((fp.value, fp.iterations), (3.0, 1));
+        let fp = newton_fixed_point_budgeted(|x| x, 3.0, 1e-12, &mut budget).unwrap();
+        assert_eq!((fp.value, fp.iterations), (3.0, 1));
     }
 
     #[test]
@@ -410,12 +275,14 @@ mod tests {
     fn linear_contraction_all_methods_agree() {
         // x ← 0.5 x + 1 has fixed point 2.
         let f = |x: f64| 0.5 * x + 1.0;
+        let mut budget = Budget::iterations(10_000);
         for result in [
-            successive_substitution(f, 10.0, 1e-13, 1000).unwrap().value,
-            aitken(f, 10.0, 1e-13, 1000).unwrap().value,
-            newton_fixed_point(f, 10.0, 1e-13, 1000).unwrap().value,
+            successive_substitution_budgeted(f, 10.0, 1e-13, &mut budget),
+            newton_fixed_point_budgeted(f, 10.0, 1e-13, &mut budget),
+            bisection_fixed_point(f, 10.0, 1e-13, &mut budget),
         ] {
-            assert!((result - 2.0).abs() < 1e-10, "result={result}");
+            let value = result.unwrap().value;
+            assert!((value - 2.0).abs() < 1e-10, "value={value}");
         }
     }
 }

@@ -2,14 +2,15 @@
 //!
 //! Everything a Bayesian NHPP estimator needs and nothing more:
 //!
-//! * [`roots`] — bisection and safeguarded Newton for the
+//! * [`roots`] — bisection and bracket expansion for the
 //!   one-dimensional root problems that appear in quantile inversion and
 //!   reliability-bound computation;
-//! * [`fixed_point`] — plain and Aitken-accelerated successive substitution
-//!   for the VB2 `(ζ, ξ)` system (Eqs. (24)–(27) of the paper);
-//! * [`quadrature`] — Gauss–Legendre rules, adaptive Simpson and
-//!   log-space tensor quadrature over rectangles (the NINT engine);
-//! * [`optimize`] — Nelder–Mead and a damped 2-D Newton for MAP/MLE fits;
+//! * [`fixed_point`] — budgeted successive substitution, Newton and
+//!   bisection for the VB2 `(ζ, ξ)` system (Eqs. (24)–(27) of the paper);
+//! * [`quadrature`] — Gauss–Legendre rules and composite panels (the
+//!   NINT engine);
+//! * [`optimize`] — Nelder–Mead for MAP/MLE fits, and finite-difference
+//!   derivatives;
 //! * [`linalg`] — 2×2 symmetric matrix helpers for Laplace approximation;
 //! * [`budget`] — cooperative iteration/deadline budgets threaded through
 //!   the solver loops so a supervisor can bound total work per fit;

@@ -63,25 +63,6 @@ impl SymMat2 {
     pub fn quadratic_form(&self, v: (f64, f64)) -> f64 {
         self.a11 * v.0 * v.0 + 2.0 * self.a12 * v.0 * v.1 + self.a22 * v.1 * v.1
     }
-
-    /// Eigenvalues, smaller first.
-    pub fn eigenvalues(&self) -> (f64, f64) {
-        let mean = 0.5 * self.trace();
-        let delta = (0.25 * (self.a11 - self.a22).powi(2) + self.a12 * self.a12).sqrt();
-        (mean - delta, mean + delta)
-    }
-
-    /// Cholesky factor `L` (lower triangular, `A = L Lᵀ`) as
-    /// `(l11, l21, l22)`; `None` if `A` is not positive definite.
-    pub fn cholesky(&self) -> Option<(f64, f64, f64)> {
-        if !self.is_positive_definite() {
-            return None;
-        }
-        let l11 = self.a11.sqrt();
-        let l21 = self.a12 / l11;
-        let l22 = (self.a22 - l21 * l21).sqrt();
-        Some((l11, l21, l22))
-    }
 }
 
 #[cfg(test)]
@@ -119,36 +100,6 @@ mod tests {
         let back = a.mul_vec(x);
         assert!((back.0 - b.0).abs() < 1e-13);
         assert!((back.1 - b.1).abs() < 1e-13);
-    }
-
-    #[test]
-    fn eigenvalues_of_diagonal() {
-        let a = SymMat2::new(2.0, 0.0, 5.0);
-        let (lo, hi) = a.eigenvalues();
-        assert_eq!((lo, hi), (2.0, 5.0));
-    }
-
-    #[test]
-    fn eigenvalues_sum_and_product() {
-        let a = SymMat2::new(3.0, 1.2, 2.0);
-        let (lo, hi) = a.eigenvalues();
-        assert!((lo + hi - a.trace()).abs() < 1e-13);
-        assert!((lo * hi - a.det()).abs() < 1e-13);
-    }
-
-    #[test]
-    fn cholesky_reconstructs() {
-        let a = SymMat2::new(4.0, 2.0, 5.0);
-        let (l11, l21, l22) = a.cholesky().unwrap();
-        assert!((l11 * l11 - a.a11).abs() < 1e-14);
-        assert!((l11 * l21 - a.a12).abs() < 1e-14);
-        assert!((l21 * l21 + l22 * l22 - a.a22).abs() < 1e-14);
-    }
-
-    #[test]
-    fn cholesky_rejects_indefinite() {
-        assert!(SymMat2::new(1.0, 2.0, 1.0).cholesky().is_none());
-        assert!(SymMat2::new(-1.0, 0.0, 1.0).cholesky().is_none());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Derivative-free and Newton-type optimisation for MLE/MAP fitting.
+//! Derivative-free optimisation for MLE/MAP fitting, and finite-difference
+//! derivatives of 2-D objectives.
 
 use crate::linalg::SymMat2;
 use crate::NumericError;
@@ -163,90 +164,6 @@ pub fn nelder_mead<F: FnMut(&[f64]) -> f64>(
     })
 }
 
-/// Damped Newton *maximisation* of a smooth 2-D objective.
-///
-/// `fgh(x, y)` must return `(f, [∂f/∂x, ∂f/∂y], H)` where `H` is the
-/// Hessian. Steps solve `H d = −∇f`; when `−H` is not positive definite
-/// the step falls back to steepest ascent, and every step is backtracked
-/// until the objective improves. Used for MAP estimation where gradients
-/// and Hessians of the NHPP log-posterior are analytic.
-///
-/// # Errors
-///
-/// * [`NumericError::NonFinite`] on NaN objective/derivatives.
-/// * [`NumericError::MaxIterations`] if not converged (payload = best `f`).
-pub fn newton_max_2d<F: FnMut(f64, f64) -> (f64, [f64; 2], SymMat2)>(
-    mut fgh: F,
-    x0: (f64, f64),
-    tol: f64,
-    max_iter: usize,
-) -> Result<Optimum, NumericError> {
-    let (mut x, mut y) = x0;
-    let (mut fx, mut grad, mut hess) = fgh(x, y);
-    if !fx.is_finite() {
-        return Err(NumericError::NonFinite {
-            context: "newton_max_2d initial point",
-        });
-    }
-    for iter in 0..max_iter {
-        let grad_norm = (grad[0] * grad[0] + grad[1] * grad[1]).sqrt();
-        if grad_norm <= tol * fx.abs().max(1.0) {
-            return Ok(Optimum {
-                x: vec![x, y],
-                value: fx,
-                iterations: iter,
-            });
-        }
-        // Newton direction: solve H d = −∇f; require −H positive definite
-        // (local maximum curvature), else steepest ascent.
-        let neg_h = SymMat2::new(-hess.a11, -hess.a12, -hess.a22);
-        let dir = if neg_h.is_positive_definite() {
-            neg_h.solve((grad[0], grad[1]))
-        } else {
-            None
-        }
-        .unwrap_or((grad[0] / grad_norm, grad[1] / grad_norm));
-
-        // Backtracking line search.
-        let mut step = 1.0;
-        let mut advanced = false;
-        for _ in 0..60 {
-            let (nx, ny) = (x + step * dir.0, y + step * dir.1);
-            let (nf, ngrad, nhess) = fgh(nx, ny);
-            if nf.is_finite() && nf > fx {
-                let delta = nf - fx;
-                x = nx;
-                y = ny;
-                fx = nf;
-                grad = ngrad;
-                hess = nhess;
-                advanced = true;
-                if delta <= tol * fx.abs().max(1.0) * 1e-3 {
-                    return Ok(Optimum {
-                        x: vec![x, y],
-                        value: fx,
-                        iterations: iter + 1,
-                    });
-                }
-                break;
-            }
-            step *= 0.5;
-        }
-        if !advanced {
-            // No uphill progress possible at floating-point resolution.
-            return Ok(Optimum {
-                x: vec![x, y],
-                value: fx,
-                iterations: iter + 1,
-            });
-        }
-    }
-    Err(NumericError::MaxIterations {
-        best: fx,
-        iterations: max_iter,
-    })
-}
-
 /// Central-difference gradient of a 2-D function.
 pub fn fd_gradient_2d<F: FnMut(f64, f64) -> f64>(mut f: F, x: f64, y: f64) -> [f64; 2] {
     let hx = 1e-6 * x.abs().max(1e-8);
@@ -311,40 +228,6 @@ mod tests {
     fn nelder_mead_rejects_nan() {
         let err = nelder_mead(|_| f64::NAN, &[1.0], 0.5, 1e-10, 100).unwrap_err();
         assert!(matches!(err, NumericError::NonFinite { .. }));
-    }
-
-    #[test]
-    fn newton_max_concave_quadratic() {
-        // f = −(x−2)² − 3(y+1)² + xy·0 → max at (2, −1).
-        let opt = newton_max_2d(
-            |x, y| {
-                let f = -(x - 2.0).powi(2) - 3.0 * (y + 1.0).powi(2);
-                let g = [-2.0 * (x - 2.0), -6.0 * (y + 1.0)];
-                (f, g, SymMat2::new(-2.0, 0.0, -6.0))
-            },
-            (10.0, 10.0),
-            1e-12,
-            100,
-        )
-        .unwrap();
-        assert!((opt.x[0] - 2.0).abs() < 1e-8);
-        assert!((opt.x[1] + 1.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn newton_max_with_fd_derivatives() {
-        // Log of a bivariate Gaussian-like surface with correlation.
-        let f = |x: f64, y: f64| -(x * x + x * y + y * y) + x;
-        let opt = newton_max_2d(
-            |x, y| (f(x, y), fd_gradient_2d(f, x, y), fd_hessian_2d(f, x, y)),
-            (5.0, -5.0),
-            1e-10,
-            200,
-        )
-        .unwrap();
-        // ∇f = 0: 2x + y = 1; x + 2y = 0 → x = 2/3, y = −1/3.
-        assert!((opt.x[0] - 2.0 / 3.0).abs() < 1e-5, "x={:?}", opt.x);
-        assert!((opt.x[1] + 1.0 / 3.0).abs() < 1e-5);
     }
 
     #[test]

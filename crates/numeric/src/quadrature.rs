@@ -1,8 +1,5 @@
-//! Quadrature: Gauss–Legendre rules, composite panels, adaptive Simpson
-//! and log-space integration.
+//! Quadrature: Gauss–Legendre rules and composite panels.
 
-use crate::NumericError;
-use nhpp_special::log_sum_exp;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -150,102 +147,6 @@ impl GaussLegendre {
         }
         acc
     }
-
-    /// Computes `ln ∫ₐᵇ exp(ln_f(x)) dx` in log space, immune to underflow
-    /// of the integrand (the NINT building block).
-    ///
-    /// `ln_f` may return `−∞` for regions of zero mass.
-    pub fn log_integrate<F: FnMut(f64) -> f64>(&self, a: f64, b: f64, mut ln_f: F) -> f64 {
-        let c = 0.5 * (a + b);
-        let h = 0.5 * (b - a);
-        let terms: Vec<f64> = self
-            .nodes
-            .iter()
-            .zip(&self.weights)
-            .map(|(&x, &w)| ln_f(c + h * x) + (w * h).ln())
-            .collect();
-        log_sum_exp(&terms)
-    }
-}
-
-/// Adaptive Simpson quadrature over `[a, b]` with absolute tolerance `tol`.
-///
-/// # Errors
-///
-/// [`NumericError::NonFinite`] if the integrand returns a non-finite
-/// value, [`NumericError::InvalidArgument`] for a non-positive tolerance.
-pub fn adaptive_simpson<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    tol: f64,
-) -> Result<f64, NumericError> {
-    if !(tol > 0.0) {
-        return Err(NumericError::InvalidArgument {
-            message: "tolerance must be positive",
-        });
-    }
-    fn simpson(fa: f64, fm: f64, fb: f64, a: f64, b: f64) -> f64 {
-        (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    }
-    #[allow(clippy::too_many_arguments)] // internal recursion carries its full state explicitly
-    fn recurse<F: FnMut(f64) -> f64>(
-        f: &mut F,
-        a: f64,
-        b: f64,
-        fa: f64,
-        fm: f64,
-        fb: f64,
-        whole: f64,
-        tol: f64,
-        depth: usize,
-    ) -> Result<f64, NumericError> {
-        let m = 0.5 * (a + b);
-        let lm = 0.5 * (a + m);
-        let rm = 0.5 * (m + b);
-        let flm = f(lm);
-        let frm = f(rm);
-        if !flm.is_finite() || !frm.is_finite() {
-            return Err(NumericError::NonFinite {
-                context: "adaptive_simpson integrand",
-            });
-        }
-        let left = simpson(fa, flm, fm, a, m);
-        let right = simpson(fm, frm, fb, m, b);
-        let delta = left + right - whole;
-        if depth == 0 || delta.abs() <= 15.0 * tol {
-            return Ok(left + right + delta / 15.0);
-        }
-        let l = recurse(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)?;
-        let r = recurse(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)?;
-        Ok(l + r)
-    }
-    let fa = f(a);
-    let fb = f(b);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    if !fa.is_finite() || !fb.is_finite() || !fm.is_finite() {
-        return Err(NumericError::NonFinite {
-            context: "adaptive_simpson endpoints",
-        });
-    }
-    let whole = simpson(fa, fm, fb, a, b);
-    recurse(&mut f, a, b, fa, fm, fb, whole, tol, 48)
-}
-
-/// Integrates `f` over the semi-infinite interval `[a, ∞)` using the
-/// substitution `x = a + t/(1−t)`, `t ∈ [0, 1)`, with a Gauss–Legendre
-/// rule. Suitable for integrands with (sub-)exponential tails.
-pub fn integrate_semi_infinite<F: FnMut(f64) -> f64>(
-    rule: &GaussLegendre,
-    a: f64,
-    mut f: F,
-) -> f64 {
-    rule.integrate(0.0, 1.0, |t| {
-        let om = 1.0 - t;
-        let x = a + t / om;
-        f(x) / (om * om)
-    })
 }
 
 #[cfg(test)]
@@ -292,70 +193,11 @@ mod tests {
     }
 
     #[test]
-    fn log_integrate_handles_underflow() {
-        // ∫₀¹ e^{-2000} dx = e^{-2000}: underflows linearly.
-        let gl = GaussLegendre::new(8);
-        let ln_v = gl.log_integrate(0.0, 1.0, |_| -2000.0);
-        assert!((ln_v + 2000.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn log_integrate_gaussian_mass() {
-        // ∫ exp(−x²/2) dx over [−10, 10] = √(2π).
-        let gl = GaussLegendre::new(128);
-        let ln_v = gl.log_integrate(-10.0, 10.0, |x| -0.5 * x * x);
-        let expected = 0.5 * (2.0 * std::f64::consts::PI).ln();
-        assert!((ln_v - expected).abs() < 1e-10);
-    }
-
-    #[test]
-    fn adaptive_simpson_smooth() {
-        let v = adaptive_simpson(|x: f64| x.exp(), 0.0, 1.0, 1e-12).unwrap();
-        assert!((v - (std::f64::consts::E - 1.0)).abs() < 1e-10);
-    }
-
-    #[test]
-    fn adaptive_simpson_peaked() {
-        // Narrow Gaussian mass inside a wide interval.
-        let s = 1e-3;
-        let v = adaptive_simpson(
-            |x: f64| (-0.5 * (x / s).powi(2)).exp() / (s * (2.0 * std::f64::consts::PI).sqrt()),
-            -1.0,
-            1.0,
-            1e-10,
-        )
-        .unwrap();
-        assert!((v - 1.0).abs() < 1e-6, "v={v}");
-    }
-
-    #[test]
-    fn adaptive_simpson_rejects_nan() {
-        let err = adaptive_simpson(|_| f64::NAN, 0.0, 1.0, 1e-10).unwrap_err();
-        assert!(matches!(err, NumericError::NonFinite { .. }));
-    }
-
-    #[test]
     fn shared_rules_are_cached_and_correct() {
         let a = GaussLegendre::shared(48);
         let b = GaussLegendre::shared(48);
         assert!(Arc::ptr_eq(&a, &b), "same order must hit the cache");
         assert_eq!(*a, GaussLegendre::new(48));
         assert!(!Arc::ptr_eq(&a, &GaussLegendre::shared(32)));
-    }
-
-    #[test]
-    fn semi_infinite_exponential() {
-        let gl = GaussLegendre::new(64);
-        // ∫₂^∞ e^{−x} dx = e^{−2}
-        let v = integrate_semi_infinite(&gl, 2.0, |x| (-x).exp());
-        assert!((v - (-2.0f64).exp()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn semi_infinite_gamma_mean() {
-        let gl = GaussLegendre::new(96);
-        // ∫₀^∞ x·x e^{−x} dx = Γ(3) = 2 (mean of Gamma(2,1) times normaliser).
-        let v = integrate_semi_infinite(&gl, 0.0, |x| x * x * (-x).exp());
-        assert!((v - 2.0).abs() < 1e-6, "v={v}");
     }
 }

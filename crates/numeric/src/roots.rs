@@ -1,11 +1,10 @@
-//! One-dimensional root finding: bisection and safeguarded Newton.
+//! One-dimensional root finding: bisection and bracket expansion.
 
 use crate::NumericError;
 
 /// Finds a root of `f` in `[a, b]` by plain bisection.
 ///
-/// Robust but linearly convergent; use [`newton_bracketed`] where the
-/// derivative is cheap.
+/// Robust but linearly convergent.
 ///
 /// # Errors
 ///
@@ -65,77 +64,6 @@ pub fn bisect<F: FnMut(f64) -> f64>(
     }
     Err(NumericError::MaxIterations {
         best: 0.5 * (a + b),
-        iterations: max_iter,
-    })
-}
-
-/// Safeguarded Newton iteration: Newton steps clipped to a bracketing
-/// interval, falling back to bisection whenever a step leaves the bracket.
-///
-/// `fdf` must return the pair `(f(x), f'(x))`. The bracket `[a, b]` must
-/// contain a sign change of `f`.
-///
-/// # Errors
-///
-/// Same contract as [`bisect`].
-pub fn newton_bracketed<F: FnMut(f64) -> (f64, f64)>(
-    mut fdf: F,
-    a: f64,
-    b: f64,
-    x0: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64, NumericError> {
-    let (fa, _) = fdf(a);
-    let (fb, _) = fdf(b);
-    if fa.is_nan() || fb.is_nan() {
-        return Err(NumericError::NonFinite {
-            context: "newton endpoint evaluation",
-        });
-    }
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(NumericError::NoBracket { fa, fb });
-    }
-    let (mut lo, mut hi) = if fa < 0.0 { (a, b) } else { (b, a) };
-    let mut x = if (a..=b).contains(&x0) || (b..=a).contains(&x0) {
-        x0
-    } else {
-        0.5 * (a + b)
-    };
-    for _ in 0..max_iter {
-        let (fx, dfx) = fdf(x);
-        if fx.is_nan() || dfx.is_nan() {
-            return Err(NumericError::NonFinite {
-                context: "newton iterate evaluation",
-            });
-        }
-        if fx == 0.0 {
-            return Ok(x);
-        }
-        if fx < 0.0 {
-            lo = x;
-        } else {
-            hi = x;
-        }
-        let step = fx / dfx;
-        let mut x_new = x - step;
-        let (bl, bh) = if lo < hi { (lo, hi) } else { (hi, lo) };
-        if !(x_new.is_finite() && step.is_finite() && x_new > bl && x_new < bh) {
-            x_new = 0.5 * (lo + hi);
-        }
-        if (x_new - x).abs() <= tol.max(f64::EPSILON * x.abs()) {
-            return Ok(x_new);
-        }
-        x = x_new;
-    }
-    Err(NumericError::MaxIterations {
-        best: x,
         iterations: max_iter,
     })
 }
@@ -211,27 +139,6 @@ mod tests {
     fn bisect_exact_endpoint() {
         assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12, 10).unwrap(), 0.0);
         assert_eq!(bisect(|x| x - 1.0, 0.0, 1.0, 1e-12, 10).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn newton_bracketed_quadratic() {
-        let r = newton_bracketed(|x| (x * x - 2.0, 2.0 * x), 0.0, 2.0, 1.0, 1e-14, 100).unwrap();
-        assert!((r - 2.0f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn newton_bracketed_survives_bad_derivative() {
-        // Derivative vanishes at the initial point; must fall back to bisection.
-        let r = newton_bracketed(
-            |x| (x * x * x - 8.0, 3.0 * x * x),
-            -1.0,
-            5.0,
-            0.0,
-            1e-12,
-            200,
-        )
-        .unwrap();
-        assert!((r - 2.0).abs() < 1e-10);
     }
 
     #[test]

@@ -34,7 +34,6 @@ use crate::scheduler::FitSlot;
 use crate::storage::{frame_record, scan_records, FsStorage, MemStorage, ScanStop, Storage};
 use nhpp_data::io::{read_failure_times, read_grouped};
 use nhpp_data::{FailureTimeData, GroupedData, ObservedData};
-use nhpp_dist::Gamma;
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::ModelSpec;
 use std::collections::{BTreeMap, BTreeSet};
@@ -90,75 +89,22 @@ pub struct ProjectConfig {
 }
 
 impl ProjectConfig {
-    /// Builds a configuration from the API keywords.
+    /// Builds a configuration from the API keywords: the model and prior
+    /// grammars are `ModelSpec`'s and `NhppPrior`'s `FromStr`.
     ///
     /// # Errors
     ///
     /// A description of the offending keyword.
     pub fn from_labels(kind: &str, model: &str, prior: &str) -> Result<ProjectConfig, String> {
-        let kind = DataKind::parse(kind)?;
-        let spec = parse_model(model)?;
-        let prior_value = parse_prior(prior)?;
         Ok(ProjectConfig {
-            kind,
-            spec,
-            prior: prior_value,
+            kind: DataKind::parse(kind)?,
+            spec: model.parse()?,
+            prior: prior.parse()?,
             model_label: model.to_string(),
-            prior_label: prior.to_string(),
+            // The `C` record is space-separated: store the prior without
+            // the whitespace its grammar allows around tuple components.
+            prior_label: prior.split_whitespace().collect(),
         })
-    }
-}
-
-/// Parses a model keyword: `go`, `dss` or `gamma:<alpha0>`.
-///
-/// # Errors
-///
-/// A description of the offending keyword.
-pub fn parse_model(text: &str) -> Result<ModelSpec, String> {
-    match text {
-        "go" => Ok(ModelSpec::goel_okumoto()),
-        "dss" => Ok(ModelSpec::delayed_s_shaped()),
-        other => match other.strip_prefix("gamma:") {
-            Some(raw) => {
-                let alpha0: f64 = raw
-                    .parse()
-                    .map_err(|_| format!("bad gamma shape '{raw}'"))?;
-                ModelSpec::gamma_type(alpha0).map_err(|e| e.to_string())
-            }
-            None => Err(format!("unknown model '{other}' (go|dss|gamma:<a0>)")),
-        },
-    }
-}
-
-/// Parses a prior keyword: `paper-info-times`, `paper-info-grouped`,
-/// `flat`, or `wmean,wsd,bmean,bsd`.
-///
-/// # Errors
-///
-/// A description of the offending keyword.
-pub fn parse_prior(text: &str) -> Result<NhppPrior, String> {
-    match text {
-        "paper-info-times" => Ok(NhppPrior::paper_info_times()),
-        "paper-info-grouped" => Ok(NhppPrior::paper_info_grouped()),
-        "flat" => Ok(NhppPrior::flat()),
-        other => {
-            let parts: Vec<&str> = other.split(',').collect();
-            if parts.len() != 4 {
-                return Err(format!(
-                    "unknown prior '{other}' \
-                     (paper-info-times|paper-info-grouped|flat|wmean,wsd,bmean,bsd)"
-                ));
-            }
-            let mut values = [0.0f64; 4];
-            for (slot, raw) in values.iter_mut().zip(&parts) {
-                *slot = raw
-                    .parse()
-                    .map_err(|_| format!("bad prior component '{raw}'"))?;
-            }
-            let omega = Gamma::from_mean_sd(values[0], values[1]).map_err(|e| e.to_string())?;
-            let beta = Gamma::from_mean_sd(values[2], values[3]).map_err(|e| e.to_string())?;
-            Ok(NhppPrior::informative(omega, beta))
-        }
     }
 }
 
@@ -1731,16 +1677,21 @@ mod tests {
     }
 
     #[test]
-    fn parse_helpers_reject_garbage() {
-        assert!(parse_model("go").is_ok());
-        assert!(parse_model("gamma:2.5").is_ok());
-        assert!(parse_model("gamma:-1").is_err());
-        assert!(parse_model("weibull").is_err());
-        assert!(parse_prior("flat").is_ok());
-        assert!(parse_prior("50,15.8,1e-5,3.2e-6").is_ok());
-        assert!(parse_prior("1,2,3").is_err());
-        assert!(parse_prior("a,b,c,d").is_err());
+    fn config_labels_check_the_kind_and_replay_a_spaced_prior() {
         assert!(DataKind::parse("times").is_ok());
         assert!(DataKind::parse("stream").is_err());
+        let spaced = ProjectConfig::from_labels("times", "go", "50, 15.8,1e-5 , 3.2e-6").unwrap();
+        let tight = ProjectConfig::from_labels("times", "go", "50,15.8,1e-5,3.2e-6").unwrap();
+        assert_eq!(spaced, tight, "one project, however the label is spaced");
+        // The label lands in the space-separated `C` record, so the
+        // project must replay from its log.
+        let (storage, registry) = mem_registry(manual_policy());
+        registry.create("p", spaced).unwrap();
+        registry
+            .get("p")
+            .unwrap()
+            .ingest(&batch(&[1.0, 2.0], 5.0))
+            .unwrap();
+        assert_eq!(reopen(&storage).get("p").unwrap().config(), tight);
     }
 }

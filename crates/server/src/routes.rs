@@ -27,16 +27,18 @@
 //! — so operators see *why* without grepping server logs.
 
 use crate::http::{Request, Response};
-use crate::monitor::{Alert, ChartPoint, ChartSnapshot};
-use crate::registry::{CreateOutcome, ProjectConfig, RegistryError};
-use crate::scheduler::{cached_fit, ensure_fit, FitServeError};
+use crate::monitor::{Alert, ChartPoint, ChartSnapshot, Monitor};
+use crate::registry::{CreateOutcome, Project, ProjectConfig, RegistryError};
+use crate::scheduler::{cached_fit, ensure_fit, CachedFit, FitServeError};
 use crate::server::AppState;
+use nhpp_data::json::{json_number, json_string};
 use nhpp_models::spc::ChartStatus;
 use nhpp_models::Posterior;
 use nhpp_vb::calibration::{dictionary_key, prior_informativeness};
 use nhpp_vb::{Calibration, FailureKind, FitFailure};
 use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 // The control limits moved to `nhpp_models::spc` when the streaming
@@ -48,43 +50,18 @@ pub use nhpp_models::spc::{SPC_CL, SPC_LCL, SPC_UCL};
 /// 30 s connection read timeout and the client's 60 s response timeout.
 const MAX_WAIT_MS: f64 = 25_000.0;
 
-/// Escapes a string into a JSON literal.
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats a number as JSON; non-finite values become `null` (JSON has
 /// no NaN, and a query must not produce an unparsable body).
 fn jnum(x: f64) -> String {
     if x.is_finite() {
-        let mut s = format!("{x}");
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-            s.push_str(".0");
-        }
-        s
+        json_number(x)
     } else {
         "null".to_string()
     }
 }
 
 fn error_response(status: u16, message: &str) -> Response {
-    Response::json(status, format!("{{\"error\": {}}}", jstr(message)))
+    Response::json(status, format!("{{\"error\": {}}}", json_string(message)))
 }
 
 fn registry_error(err: &RegistryError) -> Response {
@@ -109,7 +86,7 @@ fn fit_failure_response(failure: &FitFailure, retry_after_secs: u32) -> Response
         .find_map(|a| a.kind)
         .unwrap_or(FailureKind::Other);
     let tier = match failure.report.fallback_tier() {
-        Some(t) => jstr(t),
+        Some(t) => json_string(t),
         None => "null".to_string(),
     };
     let response = Response::json(
@@ -117,8 +94,8 @@ fn fit_failure_response(failure: &FitFailure, retry_after_secs: u32) -> Response
         format!(
             "{{\"error\": {}, \"kind\": {}, \"budget_exhausted\": {}, \
              \"fallback_tier\": {}, \"attempts\": {}}}",
-            jstr(&failure.error.to_string()),
-            jstr(kind.as_str()),
+            json_string(&failure.error.to_string()),
+            json_string(kind.as_str()),
             failure.report.budget_exhausted(),
             tier,
             failure.report.total_attempts(),
@@ -161,11 +138,62 @@ fn parse_u64(req: &Request, key: &str, default: u64) -> Result<u64, Response> {
     }
 }
 
-fn check_level(level: f64) -> Result<(), Response> {
+// One function per query parameter, each parsing and checking it in
+// full, so a handler reads every parameter before it looks anything up
+// or fits anything: a malformed query never costs a fit.
+
+/// `level`: the credible level, in `(0, 1)`; default 0.99.
+fn level(req: &Request) -> Result<f64, Response> {
+    let level = parse_f64(req, "level", 0.99)?;
     if 0.0 < level && level < 1.0 {
-        Ok(())
+        Ok(level)
     } else {
         Err(error_response(400, "level must be in (0, 1)"))
+    }
+}
+
+/// `window`: the mission or prediction length past the observation
+/// end; required and positive.
+fn window(req: &Request) -> Result<f64, Response> {
+    let window = parse_f64(req, "window", 0.0)?;
+    if window > 0.0 {
+        Ok(window)
+    } else {
+        Err(error_response(400, "window must be positive"))
+    }
+}
+
+/// `points`: the band's grid size, an integer in `[2, 512]`; default 20.
+fn points(req: &Request) -> Result<usize, Response> {
+    let points = parse_u64(req, "points", 20)?;
+    if (2..=512).contains(&points) {
+        Ok(points as usize)
+    } else {
+        Err(error_response(400, "points must be in [2, 512]"))
+    }
+}
+
+/// `param`: the marginal an interval is for, `omega` (default) or `beta`.
+fn param(req: &Request) -> Result<&'static str, Response> {
+    match req.param("param") {
+        None | Some("omega") => Ok("omega"),
+        Some("beta") => Ok("beta"),
+        Some(other) => Err(error_response(
+            400,
+            &format!("unknown param '{other}' (omega|beta)"),
+        )),
+    }
+}
+
+/// `calibrated`: whether the answer is to be calibrated; default false.
+fn calibrated(req: &Request) -> Result<bool, Response> {
+    match req.param("calibrated") {
+        None | Some("false") | Some("0") => Ok(false),
+        Some("true") | Some("1") => Ok(true),
+        Some(other) => Err(error_response(
+            400,
+            &format!("bad boolean parameter calibrated='{other}'"),
+        )),
     }
 }
 
@@ -176,27 +204,19 @@ struct AppliedCalibration {
     key: String,
 }
 
-/// Resolves the `calibrated` query parameter against the dictionary
-/// loaded at boot. `Ok(None)` means the query did not ask for
-/// calibration; a request that asks but cannot be honoured — no
-/// dictionary loaded, or no entry for the project's regime × the
-/// serving method — is a `400` with a body saying exactly which, never
-/// a silently-raw answer.
+/// Resolves a [`calibrated`] request against the dictionary loaded at
+/// boot. `Ok(None)` means the query did not ask for calibration; a
+/// request that asks but cannot be honoured — no dictionary loaded, or
+/// no entry for the project's regime × the serving method — is a `400`
+/// with a body saying exactly which, never a silently-raw answer.
 fn resolve_calibration(
     state: &AppState,
-    project: &crate::registry::Project,
+    project: &Project,
     method: &str,
-    req: &Request,
+    wanted: bool,
 ) -> Result<Option<AppliedCalibration>, Response> {
-    match req.param("calibrated") {
-        None | Some("false") | Some("0") => return Ok(None),
-        Some("true") | Some("1") => {}
-        Some(other) => {
-            return Err(error_response(
-                400,
-                &format!("bad boolean parameter calibrated='{other}'"),
-            ))
-        }
+    if !wanted {
+        return Ok(None);
     }
     let Some(dict) = &state.calibration else {
         state
@@ -255,9 +275,9 @@ fn calibration_json(state: &AppState, applied: Option<&AppliedCalibration>) -> S
         (Some(applied), Some(dict)) => format!(
             "{{\"key\": {}, \"factor\": {}, \"dictionary\": {}, \"seed\": {}, \
              \"replications\": {}, \"level\": {}}}",
-            jstr(&applied.key),
+            json_string(&applied.key),
             jnum(applied.cal.factor),
-            jstr(&dict.label),
+            json_string(&dict.label),
             dict.seed,
             dict.replications,
             jnum(dict.level),
@@ -269,40 +289,10 @@ fn calibration_json(state: &AppState, applied: Option<&AppliedCalibration>) -> S
 /// Dispatches one request against the shared state.
 pub fn handle(state: &AppState, req: &Request) -> Response {
     let segments = req.segments();
-    match (req.method.as_str(), segments.as_slice()) {
-        ("GET", ["healthz"]) => Response::json(200, "{\"status\": \"ok\"}".to_string()),
-        ("GET", ["metrics"]) => {
-            let mut text = state.metrics.render_with(Some(state.registry.stats()));
-            // Dictionary provenance rides along as gauges, so a scrape
-            // shows not just *that* calibration is on but *which* table.
-            let _ = writeln!(
-                text,
-                "# HELP nhpp_serve_calibration_loaded Whether a calibration dictionary is loaded."
-            );
-            let _ = writeln!(text, "# TYPE nhpp_serve_calibration_loaded gauge");
-            match &state.calibration {
-                Some(dict) => {
-                    let _ = writeln!(text, "nhpp_serve_calibration_loaded 1");
-                    let _ = writeln!(
-                        text,
-                        "# HELP nhpp_serve_calibration_entries Entries in the loaded dictionary."
-                    );
-                    let _ = writeln!(text, "# TYPE nhpp_serve_calibration_entries gauge");
-                    let _ = writeln!(
-                        text,
-                        "nhpp_serve_calibration_entries{{dictionary=\"{}\",seed=\"{:#x}\"}} {}",
-                        dict.label,
-                        dict.seed,
-                        dict.entries.len()
-                    );
-                }
-                None => {
-                    let _ = writeln!(text, "nhpp_serve_calibration_loaded 0");
-                }
-            }
-            Response::text(200, text)
-        }
-        ("GET", ["projects"]) => list_projects(state),
+    let routed = match (req.method.as_str(), segments.as_slice()) {
+        ("GET", ["healthz"]) => Ok(Response::json(200, "{\"status\": \"ok\"}".to_string())),
+        ("GET", ["metrics"]) => Ok(metrics(state)),
+        ("GET", ["projects"]) => Ok(list_projects(state)),
         ("PUT", ["projects", id]) => create_project(state, req, id),
         ("GET", ["projects", id]) => project_summary(state, id),
         ("POST", ["projects", id, "events"]) => ingest_events(state, req, id),
@@ -316,19 +306,52 @@ pub fn handle(state: &AppState, req: &Request) -> Response {
         ("GET", ["monitor", "status"]) => monitor_status(state),
         ("GET", ["monitor", "alerts"]) => monitor_alerts(state, req),
         ("GET", ["monitor", "wait"]) => monitor_wait(state, req),
-        ("GET" | "PUT" | "POST", _) => error_response(404, "no such route"),
-        _ => error_response(405, "method not allowed"),
+        ("GET" | "PUT" | "POST", _) => Err(error_response(404, "no such route")),
+        _ => Err(error_response(405, "method not allowed")),
+    };
+    routed.unwrap_or_else(|error| error)
+}
+
+fn metrics(state: &AppState) -> Response {
+    let mut text = state.metrics.render_with(Some(state.registry.stats()));
+    // Dictionary provenance rides along as gauges, so a scrape shows not
+    // just *that* calibration is on but *which* table.
+    let _ = writeln!(
+        text,
+        "# HELP nhpp_serve_calibration_loaded Whether a calibration dictionary is loaded."
+    );
+    let _ = writeln!(text, "# TYPE nhpp_serve_calibration_loaded gauge");
+    match &state.calibration {
+        Some(dict) => {
+            let _ = writeln!(text, "nhpp_serve_calibration_loaded 1");
+            let _ = writeln!(
+                text,
+                "# HELP nhpp_serve_calibration_entries Entries in the loaded dictionary."
+            );
+            let _ = writeln!(text, "# TYPE nhpp_serve_calibration_entries gauge");
+            let _ = writeln!(
+                text,
+                "nhpp_serve_calibration_entries{{dictionary=\"{}\",seed=\"{:#x}\"}} {}",
+                dict.label,
+                dict.seed,
+                dict.entries.len()
+            );
+        }
+        None => {
+            let _ = writeln!(text, "nhpp_serve_calibration_loaded 0");
+        }
     }
+    Response::text(200, text)
 }
 
 fn summary_json(summary: &crate::registry::ProjectSummary, fitted_version: Option<u64>) -> String {
     format!(
         "{{\"id\": {}, \"kind\": {}, \"model\": {}, \"prior\": {}, \"version\": {}, \
          \"event_count\": {}, \"observation_end\": {}, \"fitted_version\": {}}}",
-        jstr(&summary.id),
-        jstr(summary.kind),
-        jstr(&summary.model),
-        jstr(&summary.prior),
+        json_string(&summary.id),
+        json_string(summary.kind),
+        json_string(&summary.model),
+        json_string(&summary.prior),
         summary.version,
         summary.event_count,
         jnum(summary.observation_end),
@@ -349,92 +372,81 @@ fn list_projects(state: &AppState) -> Response {
     Response::json(200, format!("{{\"projects\": [{}]}}", entries.join(", ")))
 }
 
-fn create_project(state: &AppState, req: &Request, id: &str) -> Response {
+fn create_project(state: &AppState, req: &Request, id: &str) -> Result<Response, Response> {
     let kind = req.param("kind").unwrap_or("times");
-    let Some(model) = req.param("model") else {
-        return error_response(400, "missing 'model' parameter");
+    let model = req
+        .param("model")
+        .ok_or_else(|| error_response(400, "missing 'model' parameter"))?;
+    let prior = req
+        .param("prior")
+        .ok_or_else(|| error_response(400, "missing 'prior' parameter"))?;
+    let config = ProjectConfig::from_labels(kind, model, prior)
+        .map_err(|message| error_response(400, &message))?;
+    let existed = match state.registry.create(id, config) {
+        Ok(CreateOutcome::Created) => false,
+        Ok(CreateOutcome::AlreadyExists) => true,
+        Err(err) => return Err(registry_error(&err)),
     };
-    let Some(prior) = req.param("prior") else {
-        return error_response(400, "missing 'prior' parameter");
-    };
-    let config = match ProjectConfig::from_labels(kind, model, prior) {
-        Ok(c) => c,
-        Err(message) => return error_response(400, &message),
-    };
-    match state.registry.create(id, config) {
-        Ok(CreateOutcome::Created) => Response::json(
-            201,
-            format!("{{\"created\": {}, \"existed\": false}}", jstr(id)),
+    Ok(Response::json(
+        if existed { 200 } else { 201 },
+        format!(
+            "{{\"created\": {}, \"existed\": {existed}}}",
+            json_string(id)
         ),
-        Ok(CreateOutcome::AlreadyExists) => Response::json(
-            200,
-            format!("{{\"created\": {}, \"existed\": true}}", jstr(id)),
-        ),
-        Err(err) => registry_error(&err),
-    }
+    ))
 }
 
-fn project_summary(state: &AppState, id: &str) -> Response {
-    match state.registry.get(id) {
-        Some(project) => Response::json(
-            200,
-            summary_json(&project.summary(), cached_fit(&project).map(|c| c.version)),
-        ),
-        None => error_response(404, &format!("unknown project '{id}'")),
-    }
+fn project(state: &AppState, id: &str) -> Result<Arc<Project>, Response> {
+    state
+        .registry
+        .get(id)
+        .ok_or_else(|| error_response(404, &format!("unknown project '{id}'")))
 }
 
-fn ingest_events(state: &AppState, req: &Request, id: &str) -> Response {
-    let Some(project) = state.registry.get(id) else {
-        return error_response(404, &format!("unknown project '{id}'"));
+fn project_summary(state: &AppState, id: &str) -> Result<Response, Response> {
+    let project = project(state, id)?;
+    Ok(Response::json(
+        200,
+        summary_json(&project.summary(), cached_fit(&project).map(|c| c.version)),
+    ))
+}
+
+fn ingest_events(state: &AppState, req: &Request, id: &str) -> Result<Response, Response> {
+    let project = project(state, id)?;
+    let text = std::str::from_utf8(&req.body)
+        .map_err(|_| error_response(400, "body must be UTF-8 CSV"))?;
+    let added = project.ingest(text).map_err(|err| registry_error(&err))?;
+    state
+        .metrics
+        .events_ingested
+        .fetch_add(added, Ordering::Relaxed);
+    // The monitoring hook on the event path: score the new gaps against
+    // the cached posterior and surface any change-point alerts they
+    // fired right in the ingest response.
+    let monitor_field = if state.monitor.is_some() {
+        let alerts = crate::monitor::observe_ingest(state, &project);
+        format!(", \"alerts\": {alerts}")
+    } else {
+        String::new()
     };
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return error_response(400, "body must be UTF-8 CSV");
-    };
-    match project.ingest(text) {
-        Ok(added) => {
-            state
-                .metrics
-                .events_ingested
-                .fetch_add(added, std::sync::atomic::Ordering::Relaxed);
-            // The monitoring hook on the event path: score the new gaps
-            // against the cached posterior and surface any change-point
-            // alerts they fired right in the ingest response.
-            let monitor_field = if state.monitor.is_some() {
-                let alerts = crate::monitor::observe_ingest(state, &project);
-                format!(", \"alerts\": {alerts}")
-            } else {
-                String::new()
-            };
-            Response::json(
-                200,
-                format!(
-                    "{{\"ingested\": {added}, \"version\": {}{monitor_field}}}",
-                    project.version()
-                ),
-            )
-        }
-        Err(err) => registry_error(&err),
-    }
+    Ok(Response::json(
+        200,
+        format!(
+            "{{\"ingested\": {added}, \"version\": {}{monitor_field}}}",
+            project.version()
+        ),
+    ))
 }
 
 /// Runs (or joins, or cache-hits) the fit for the current data version.
-fn current_fit(
-    state: &AppState,
-    id: &str,
-) -> Result<(std::sync::Arc<crate::scheduler::CachedFit>, std::sync::Arc<crate::registry::Project>), Response> {
-    let Some(project) = state.registry.get(id) else {
-        return Err(error_response(404, &format!("unknown project '{id}'")));
-    };
-    match ensure_fit(&project, &state.fit, &state.metrics) {
-        Ok(cached) => {
-            // Register the access with the LRU bound; this may evict
-            // the coldest cached posterior elsewhere.
-            state.cache.touch(&project, &state.metrics);
-            Ok((cached, project))
-        }
-        Err(err) => Err(fit_serve_error(state, &err)),
-    }
+fn current_fit(state: &AppState, id: &str) -> Result<(Arc<CachedFit>, Arc<Project>), Response> {
+    let project = project(state, id)?;
+    let cached =
+        ensure_fit(&project, &state.fit, &state.metrics).map_err(|e| fit_serve_error(state, &e))?;
+    // Register the access with the LRU bound; this may evict the
+    // coldest cached posterior elsewhere.
+    state.cache.touch(&project, &state.metrics);
+    Ok((cached, project))
 }
 
 /// The status-check fit source: the cached posterior when one exists —
@@ -442,41 +454,33 @@ fn current_fit(
 /// come from the fit computed *before* them — falling back to one
 /// coalesced fit only for a never-fitted project. Repeated status
 /// queries therefore cost zero refits regardless of ingest churn.
-fn cached_or_fit(
-    state: &AppState,
-    project: &std::sync::Arc<crate::registry::Project>,
-) -> Result<std::sync::Arc<crate::scheduler::CachedFit>, Response> {
-    if let Some(cached) = cached_fit(project) {
-        state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        state.cache.touch(project, &state.metrics);
-        return Ok(cached);
-    }
-    match ensure_fit(project, &state.fit, &state.metrics) {
-        Ok(cached) => {
-            state.cache.touch(project, &state.metrics);
-            Ok(cached)
+fn cached_or_fit(state: &AppState, project: &Arc<Project>) -> Result<Arc<CachedFit>, Response> {
+    let cached = match cached_fit(project) {
+        Some(cached) => {
+            state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            cached
         }
-        Err(err) => Err(fit_serve_error(state, &err)),
-    }
+        None => ensure_fit(project, &state.fit, &state.metrics)
+            .map_err(|e| fit_serve_error(state, &e))?,
+    };
+    state.cache.touch(project, &state.metrics);
+    Ok(cached)
 }
 
-fn fit_summary(state: &AppState, id: &str) -> Response {
-    let (cached, _) = match current_fit(state, id) {
-        Ok(pair) => pair,
-        Err(resp) => return resp,
-    };
+fn fit_summary(state: &AppState, id: &str) -> Result<Response, Response> {
+    let (cached, _) = current_fit(state, id)?;
     let report = &cached.fit.report;
     let posterior = &cached.fit.posterior;
-    let warnings: Vec<String> = report.warnings.iter().map(|w| jstr(w)).collect();
+    let warnings: Vec<String> = report.warnings.iter().map(|w| json_string(w)).collect();
     let tier = match report.fallback_tier() {
-        Some(t) => jstr(t),
+        Some(t) => json_string(t),
         None => "null".to_string(),
     };
     let mean_n = match posterior.mean_n() {
         Some(v) => jnum(v),
         None => "null".to_string(),
     };
-    Response::json(
+    Ok(Response::json(
         200,
         format!(
             "{{\"data_version\": {}, \"method\": {}, \"provenance\": {}, \"attempts\": {}, \
@@ -484,8 +488,8 @@ fn fit_summary(state: &AppState, id: &str) -> Response {
              \"warnings\": [{}], \"mean_omega\": {}, \"sd_omega\": {}, \"mean_beta\": {}, \
              \"sd_beta\": {}, \"covariance\": {}, \"mean_n\": {}}}",
             cached.version,
-            jstr(posterior.method_name()),
-            jstr(report.provenance),
+            json_string(posterior.method_name()),
+            json_string(report.provenance),
             report.total_attempts(),
             cached.warm_started,
             report.budget_exhausted(),
@@ -498,47 +502,34 @@ fn fit_summary(state: &AppState, id: &str) -> Response {
             jnum(posterior.covariance()),
             mean_n,
         ),
-    )
+    ))
 }
 
-fn interval(state: &AppState, req: &Request, id: &str) -> Response {
-    let level = match parse_f64(req, "level", 0.99) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    if let Err(resp) = check_level(level) {
-        return resp;
-    }
-    let param = req.param("param").unwrap_or("omega");
-    let (cached, project) = match current_fit(state, id) {
-        Ok(pair) => pair,
-        Err(resp) => return resp,
-    };
+fn interval(state: &AppState, req: &Request, id: &str) -> Result<Response, Response> {
+    let (level, param, calibrated) = (level(req)?, param(req)?, calibrated(req)?);
+    let (cached, project) = current_fit(state, id)?;
     let posterior = &cached.fit.posterior;
-    let applied = match resolve_calibration(state, &project, posterior.method_name(), req) {
-        Ok(applied) => applied,
-        Err(resp) => return resp,
-    };
-    let (raw, median): (_, fn(&dyn Posterior) -> f64) = match param {
-        "omega" => (posterior.credible_interval_omega(level), |p| {
+    let applied = resolve_calibration(state, &project, posterior.method_name(), calibrated)?;
+    let (raw, median): (_, fn(&dyn Posterior) -> f64) = if param == "omega" {
+        (posterior.credible_interval_omega(level), |p| {
             p.quantile_omega(0.5)
-        }),
-        "beta" => (posterior.credible_interval_beta(level), |p| {
+        })
+    } else {
+        (posterior.credible_interval_beta(level), |p| {
             p.quantile_beta(0.5)
-        }),
-        other => return error_response(400, &format!("unknown param '{other}' (omega|beta)")),
+        })
     };
     // Only a calibration reads the median.
     let (lo, hi) = match &applied {
         Some(a) => a.cal.interval(median(posterior), raw, 0.0),
         None => raw,
     };
-    Response::json(
+    Ok(Response::json(
         200,
         format!(
             "{{\"param\": {}, \"level\": {}, \"lo\": {}, \"hi\": {}, \"calibrated\": {}, \
              \"calibration\": {}, \"data_version\": {}}}",
-            jstr(param),
+            json_string(param),
             jnum(level),
             jnum(lo),
             jnum(hi),
@@ -546,147 +537,100 @@ fn interval(state: &AppState, req: &Request, id: &str) -> Response {
             calibration_json(state, applied.as_ref()),
             cached.version,
         ),
-    )
+    ))
 }
 
-fn band(state: &AppState, req: &Request, id: &str) -> Response {
-    let level = match parse_f64(req, "level", 0.99) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    if let Err(resp) = check_level(level) {
-        return resp;
-    }
-    let points = match parse_f64(req, "points", 20.0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    if !(2.0..=512.0).contains(&points) {
-        return error_response(400, "points must be in [2, 512]");
-    }
-    let (cached, project) = match current_fit(state, id) {
-        Ok(pair) => pair,
-        Err(resp) => return resp,
-    };
-    let applied =
-        match resolve_calibration(state, &project, cached.fit.posterior.method_name(), req) {
-            Ok(applied) => applied,
-            Err(resp) => return resp,
-        };
-    let t_end = project.summary().observation_end;
-    let n = points as usize;
+fn band(state: &AppState, req: &Request, id: &str) -> Result<Response, Response> {
+    let (level, n, calibrated) = (level(req)?, points(req)?, calibrated(req)?);
+    let (cached, project) = current_fit(state, id)?;
+    let applied = resolve_calibration(
+        state,
+        &project,
+        cached.fit.posterior.method_name(),
+        calibrated,
+    )?;
+    let t_end = cached.observation_end;
     let grid: Vec<f64> = (1..=n).map(|i| t_end * i as f64 / n as f64).collect();
-    match cached.fit.posterior.mean_value_band(&grid, level) {
-        Some(Ok(mut band)) => {
-            if let Some(a) = &applied {
-                a.cal.apply_band(&mut band);
-            }
-            let rows: Vec<String> = band
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{{\"t\": {}, \"lower\": {}, \"mean\": {}, \"upper\": {}}}",
-                        jnum(p.t),
-                        jnum(p.lower),
-                        jnum(p.mean),
-                        jnum(p.upper)
-                    )
-                })
-                .collect();
-            Response::json(
-                200,
-                format!(
-                    "{{\"level\": {}, \"band\": [{}], \"calibrated\": {}, \
-                     \"calibration\": {}, \"data_version\": {}}}",
-                    jnum(level),
-                    rows.join(", "),
-                    applied.is_some(),
-                    calibration_json(state, applied.as_ref()),
-                    cached.version
+    let mut band = match cached.fit.posterior.mean_value_band(&grid, level) {
+        Some(Ok(band)) => band,
+        Some(Err(err)) => return Err(error_response(500, &err.to_string())),
+        None => {
+            return Err(error_response(
+                409,
+                &format!(
+                    "the posterior was produced by the '{}' fallback tier, which has no \
+                     mixture representation to integrate a band over",
+                    cached.fit.report.provenance
                 ),
-            )
+            ))
         }
-        Some(Err(err)) => error_response(500, &err.to_string()),
-        None => error_response(
-            409,
-            &format!(
-                "the posterior was produced by the '{}' fallback tier, which has no \
-                 mixture representation to integrate a band over",
-                cached.fit.report.provenance
-            ),
+    };
+    if let Some(a) = &applied {
+        a.cal.apply_band(&mut band);
+    }
+    let rows: Vec<String> = band
+        .iter()
+        .map(|p| {
+            format!(
+                "{{\"t\": {}, \"lower\": {}, \"mean\": {}, \"upper\": {}}}",
+                jnum(p.t),
+                jnum(p.lower),
+                jnum(p.mean),
+                jnum(p.upper)
+            )
+        })
+        .collect();
+    Ok(Response::json(
+        200,
+        format!(
+            "{{\"level\": {}, \"band\": [{}], \"calibrated\": {}, \
+             \"calibration\": {}, \"data_version\": {}}}",
+            jnum(level),
+            rows.join(", "),
+            applied.is_some(),
+            calibration_json(state, applied.as_ref()),
+            cached.version
         ),
-    }
+    ))
 }
 
-fn predict(state: &AppState, req: &Request, id: &str) -> Response {
-    let level = match parse_f64(req, "level", 0.99) {
-        Ok(v) => v,
-        Err(resp) => return resp,
+fn predict(state: &AppState, req: &Request, id: &str) -> Result<Response, Response> {
+    let (level, window) = (level(req)?, window(req)?);
+    let (cached, _) = current_fit(state, id)?;
+    let t = cached.observation_end;
+    let counts = cached
+        .fit
+        .posterior
+        .predictive_failures(t, window)
+        .map_err(|err| error_response(500, &err.to_string()))?;
+    let interval = match counts.interval(level) {
+        Some((lo, hi)) => format!("[{lo}, {hi}]"),
+        None => "null".to_string(),
     };
-    if let Err(resp) = check_level(level) {
-        return resp;
-    }
-    let window = match parse_f64(req, "window", 0.0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    if window.is_nan() || window <= 0.0 {
-        return error_response(400, "window must be positive");
-    }
-    let (cached, project) = match current_fit(state, id) {
-        Ok(pair) => pair,
-        Err(resp) => return resp,
-    };
-    let t = project.summary().observation_end;
-    match cached.fit.posterior.predictive_failures(t, window) {
-        Ok(counts) => {
-            let interval = match counts.interval(level) {
-                Some((lo, hi)) => format!("[{lo}, {hi}]"),
-                None => "null".to_string(),
-            };
-            Response::json(
-                200,
-                format!(
-                    "{{\"t\": {}, \"window\": {}, \"mean\": {}, \"variance\": {}, \
-                     \"prob_zero\": {}, \"level\": {}, \"interval\": {}, \"data_version\": {}}}",
-                    jnum(t),
-                    jnum(window),
-                    jnum(counts.mean()),
-                    jnum(counts.variance()),
-                    jnum(counts.prob_zero()),
-                    jnum(level),
-                    interval,
-                    cached.version,
-                ),
-            )
-        }
-        Err(err) => error_response(500, &err.to_string()),
-    }
+    Ok(Response::json(
+        200,
+        format!(
+            "{{\"t\": {}, \"window\": {}, \"mean\": {}, \"variance\": {}, \
+             \"prob_zero\": {}, \"level\": {}, \"interval\": {}, \"data_version\": {}}}",
+            jnum(t),
+            jnum(window),
+            jnum(counts.mean()),
+            jnum(counts.variance()),
+            jnum(counts.prob_zero()),
+            jnum(level),
+            interval,
+            cached.version,
+        ),
+    ))
 }
 
-fn reliability(state: &AppState, req: &Request, id: &str) -> Response {
-    let level = match parse_f64(req, "level", 0.99) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    if let Err(resp) = check_level(level) {
-        return resp;
-    }
-    let window = match parse_f64(req, "window", 0.0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    if window.is_nan() || window <= 0.0 {
-        return error_response(400, "window must be positive");
-    }
-    let (cached, project) = match current_fit(state, id) {
-        Ok(pair) => pair,
-        Err(resp) => return resp,
-    };
-    let t = project.summary().observation_end;
+fn reliability(state: &AppState, req: &Request, id: &str) -> Result<Response, Response> {
+    let (level, window) = (level(req)?, window(req)?);
+    let (cached, _) = current_fit(state, id)?;
+    let t = cached.observation_end;
     let point = cached.fit.posterior.reliability_point(t, window);
     let (lo, hi) = cached.fit.posterior.reliability_interval(t, window, level);
-    Response::json(
+    Ok(Response::json(
         200,
         format!(
             "{{\"t\": {}, \"window\": {}, \"point\": {}, \"level\": {}, \"lo\": {}, \
@@ -699,7 +643,7 @@ fn reliability(state: &AppState, req: &Request, id: &str) -> Response {
             jnum(hi),
             cached.version,
         ),
-    )
+    ))
 }
 
 /// SPC control-limit check on the newest inter-failure time (ordered
@@ -711,25 +655,22 @@ fn reliability(state: &AppState, req: &Request, id: &str) -> Response {
 /// (significant improvement). Sourced from the version-keyed fit cache
 /// via [`cached_or_fit`]: status checks never trigger refits of their
 /// own once a posterior exists.
-fn spc(state: &AppState, req: &Request, id: &str) -> Response {
-    let Some(project) = state.registry.get(id) else {
-        return error_response(404, &format!("unknown project '{id}'"));
-    };
-    let Some((t_prev, t_last)) = project.newest_gap() else {
-        return error_response(
+fn spc(state: &AppState, req: &Request, id: &str) -> Result<Response, Response> {
+    let calibrated = calibrated(req)?;
+    let project = project(state, id)?;
+    let (t_prev, t_last) = project.newest_gap().ok_or_else(|| {
+        error_response(
             409,
             "SPC needs a times project with at least two recorded failures",
-        );
-    };
-    let cached = match cached_or_fit(state, &project) {
-        Ok(cached) => cached,
-        Err(resp) => return resp,
-    };
-    let applied =
-        match resolve_calibration(state, &project, cached.fit.posterior.method_name(), req) {
-            Ok(applied) => applied,
-            Err(resp) => return resp,
-        };
+        )
+    })?;
+    let cached = cached_or_fit(state, &project)?;
+    let applied = resolve_calibration(
+        state,
+        &project,
+        cached.fit.posterior.method_name(),
+        calibrated,
+    )?;
     let tau = t_last - t_prev;
     // An under-dispersed posterior reports the observed gap as more
     // extreme than a calibrated one would; the spread factor maps onto
@@ -748,7 +689,7 @@ fn spc(state: &AppState, req: &Request, id: &str) -> Response {
     } else {
         "in-control"
     };
-    Response::json(
+    Ok(Response::json(
         200,
         format!(
             "{{\"t_prev\": {}, \"t_last\": {}, \"gap\": {}, \"p\": {}, \"lcl\": {}, \
@@ -761,12 +702,12 @@ fn spc(state: &AppState, req: &Request, id: &str) -> Response {
             jnum(SPC_LCL),
             jnum(SPC_CL),
             jnum(SPC_UCL),
-            jstr(status),
+            json_string(status),
             applied.is_some(),
             calibration_json(state, applied.as_ref()),
             cached.version,
         ),
-    )
+    ))
 }
 
 // ---------------------------------------------------------------------
@@ -784,8 +725,8 @@ fn point_json(p: &ChartPoint) -> String {
         jnum(p.t),
         jnum(p.p_os),
         jnum(p.p_mmle),
-        jstr(p.status_os.as_str()),
-        jstr(p.status_mmle.as_str()),
+        json_string(p.status_os.as_str()),
+        json_string(p.status_mmle.as_str()),
     )
 }
 
@@ -794,9 +735,9 @@ fn alert_json(a: &Alert) -> String {
         "{{\"seq\": {}, \"project\": {}, \"scheme\": {}, \"side\": {}, \"run\": {}, \
          \"index\": {}, \"t\": {}, \"p\": {}, \"fit_version\": {}, \"refit_version\": {}}}",
         a.seq,
-        jstr(&a.project),
-        jstr(a.scheme.as_str()),
-        jstr(a.side.as_str()),
+        json_string(&a.project),
+        json_string(a.scheme.as_str()),
+        json_string(a.side.as_str()),
         a.run,
         a.index,
         jnum(a.t),
@@ -813,7 +754,7 @@ fn run_json(run: Option<(ChartStatus, u32)>) -> String {
     match run {
         Some((side, length)) => format!(
             "{{\"side\": {}, \"length\": {length}}}",
-            jstr(side.as_str())
+            json_string(side.as_str())
         ),
         None => "null".to_string(),
     }
@@ -850,121 +791,103 @@ fn alerts_body(alerts: &[Alert], next_since: u64, dropped: bool) -> String {
     )
 }
 
-fn monitor_disabled() -> Response {
-    error_response(
-        409,
-        "monitoring is disabled (start the server with --monitor)",
-    )
+fn monitor(state: &AppState) -> Result<&Monitor, Response> {
+    state.monitor.as_deref().ok_or_else(|| {
+        error_response(
+            409,
+            "monitoring is disabled (start the server with --monitor)",
+        )
+    })
 }
 
 /// One project's chart. Scores any events the ingest path could not
 /// (no posterior yet, or alerts deferred) before snapshotting, so the
 /// response always reflects every acknowledged event.
-fn project_monitor(state: &AppState, id: &str) -> Response {
-    let Some(monitor) = &state.monitor else {
-        return monitor_disabled();
-    };
-    let Some(project) = state.registry.get(id) else {
-        return error_response(404, &format!("unknown project '{id}'"));
-    };
+fn project_monitor(state: &AppState, id: &str) -> Result<Response, Response> {
+    let monitor = monitor(state)?;
+    let project = project(state, id)?;
     if project.times_len().is_none() {
-        return error_response(409, "monitoring requires a times project");
+        return Err(error_response(409, "monitoring requires a times project"));
     }
-    let alerts = match crate::monitor::catch_up(state, &project) {
-        Ok(n) => n,
-        Err(err) => return fit_serve_error(state, &err),
-    };
+    let alerts =
+        crate::monitor::catch_up(state, &project).map_err(|err| fit_serve_error(state, &err))?;
     let snap = monitor.snapshot(id);
-    Response::json(
+    Ok(Response::json(
         200,
         format!(
             "{{\"project\": {}, \"scheme\": {}, \"run_length\": {}, \"lcl\": {}, \
              \"cl\": {}, \"ucl\": {}, \"alerts_fired\": {alerts}, \"chart\": {}}}",
-            jstr(id),
-            jstr(monitor.config().schemes.as_str()),
+            json_string(id),
+            json_string(monitor.config().schemes.as_str()),
             monitor.config().run_length,
             jnum(SPC_LCL),
             jnum(SPC_CL),
             jnum(SPC_UCL),
             snapshot_json(&snap),
         ),
-    )
+    ))
 }
 
-fn monitor_status(state: &AppState) -> Response {
-    let Some(monitor) = &state.monitor else {
-        return monitor_disabled();
-    };
+fn monitor_status(state: &AppState) -> Result<Response, Response> {
+    let monitor = monitor(state)?;
     let charts: Vec<String> = monitor
         .charts()
         .iter()
         .map(|(id, snap)| {
             format!(
                 "{{\"project\": {}, \"chart\": {}}}",
-                jstr(id),
+                json_string(id),
                 snapshot_json(snap)
             )
         })
         .collect();
-    Response::json(
+    Ok(Response::json(
         200,
         format!(
             "{{\"scheme\": {}, \"run_length\": {}, \"total_alerts\": {}, \"charts\": [{}]}}",
-            jstr(monitor.config().schemes.as_str()),
+            json_string(monitor.config().schemes.as_str()),
             monitor.config().run_length,
             monitor.total_alerts(),
             charts.join(", "),
         ),
-    )
+    ))
 }
 
-fn monitor_alerts(state: &AppState, req: &Request) -> Response {
-    let Some(monitor) = &state.monitor else {
-        return monitor_disabled();
-    };
-    let since = match parse_u64(req, "since", 0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+fn monitor_alerts(state: &AppState, req: &Request) -> Result<Response, Response> {
+    let monitor = monitor(state)?;
+    let since = parse_u64(req, "since", 0)?;
     let (alerts, next_since, dropped) = monitor.alerts_since(since);
-    Response::json(200, alerts_body(&alerts, next_since, dropped))
+    Ok(Response::json(
+        200,
+        alerts_body(&alerts, next_since, dropped),
+    ))
 }
 
 /// Long-poll subscription: blocks (bounded by [`MAX_WAIT_MS`]) until an
 /// alert newer than the `since` cursor exists. An empty `alerts` array
 /// means the wait timed out; the client re-polls with the same cursor.
-fn monitor_wait(state: &AppState, req: &Request) -> Response {
-    let Some(monitor) = &state.monitor else {
-        return monitor_disabled();
-    };
-    let since = match parse_u64(req, "since", 0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
-    let timeout_ms = match parse_f64(req, "timeout_ms", 15_000.0) {
-        Ok(v) => v,
-        Err(resp) => return resp,
-    };
+fn monitor_wait(state: &AppState, req: &Request) -> Result<Response, Response> {
+    let monitor = monitor(state)?;
+    let since = parse_u64(req, "since", 0)?;
+    let timeout_ms = parse_f64(req, "timeout_ms", 15_000.0)?;
     if !(0.0..=MAX_WAIT_MS).contains(&timeout_ms) {
-        return error_response(
+        return Err(error_response(
             400,
             &format!("timeout_ms must be in [0, {MAX_WAIT_MS}]"),
-        );
+        ));
     }
     let (alerts, next_since, dropped) =
         monitor.wait_alerts(since, Duration::from_millis(timeout_ms as u64));
-    if alerts.is_empty() {
-        state
-            .metrics
-            .monitor_wait_timeouts
-            .fetch_add(1, Ordering::Relaxed);
+    let counter = if alerts.is_empty() {
+        &state.metrics.monitor_wait_timeouts
     } else {
-        state
-            .metrics
-            .monitor_wait_delivered
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    Response::json(200, alerts_body(&alerts, next_since, dropped))
+        &state.metrics.monitor_wait_delivered
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    Ok(Response::json(
+        200,
+        alerts_body(&alerts, next_since, dropped),
+    ))
 }
 
 #[cfg(test)]
@@ -1346,23 +1269,97 @@ mod tests {
             &state,
             &request("POST", "/projects/p/events", "# t_end=10\n1.0\n2.0\n"),
         );
-        assert_eq!(
-            handle(&state, &get("/projects/p/interval?level=1.5")).status,
-            400
-        );
-        assert_eq!(
-            handle(&state, &get("/projects/p/interval?param=sigma")).status,
-            400
-        );
-        assert_eq!(
-            handle(&state, &get("/projects/p/predict?window=-1")).status,
-            400
-        );
+        // The project has data but no fit: every parameter is checked
+        // before the fit, so no malformed query costs one.
+        for path in [
+            "/projects/p/interval?level=1.5",
+            "/projects/p/interval?param=sigma",
+            "/projects/p/interval?calibrated=maybe",
+            "/projects/p/band?calibrated=maybe",
+            "/projects/p/band?points=2.5",
+            "/projects/p/band?points=513",
+            "/projects/p/spc?calibrated=maybe",
+            "/projects/p/predict?window=-1",
+            "/projects/p/reliability?window=NaN",
+            "/projects/p/reliability?window=1&level=0",
+        ] {
+            let resp = handle(&state, &get(path));
+            assert_eq!(resp.status, 400, "{path}: {}", resp.body);
+        }
+        assert_eq!(state.metrics.fits_total.load(Ordering::Relaxed), 0);
         // Malformed batch.
         assert_eq!(
             handle(&state, &request("POST", "/projects/p/events", "nonsense")).status,
             400
         );
+    }
+
+    #[test]
+    fn windowed_answers_start_at_the_observation_end_of_their_version() {
+        // An ingest lands after a query's fit snapshot and before its
+        // answer: the answer must pair the fitted posterior with the
+        // observation end of the version its `data_version` names.
+        let state = state();
+        handle(
+            &state,
+            &request(
+                "PUT",
+                "/projects/p?kind=times&model=go&prior=paper-info-times",
+                "",
+            ),
+        );
+        handle(
+            &state,
+            &request("POST", "/projects/p/events", &sys17_batch()),
+        );
+        let project = state.registry.get("p").unwrap();
+        let paths = [
+            "/projects/p/reliability?window=1000",
+            "/projects/p/predict?window=1000",
+            "/projects/p/band?points=2",
+        ];
+        for (round, path) in paths.into_iter().enumerate() {
+            let version = project.version();
+            let fitted_end = project.summary().observation_end;
+            // Hold this version's fit in flight, so the query snapshots
+            // the data and then waits.
+            project.fit.lock().unwrap().in_flight = Some(version);
+            let body = std::thread::scope(|scope| {
+                let query = scope.spawn(|| handle(&state, &get(path)));
+                // The query counts itself as coalesced under the slot
+                // lock, right before it waits for the held fit.
+                while state.metrics.fits_coalesced.load(Ordering::Relaxed) <= round as u64
+                    && !query.is_finished()
+                {
+                    std::thread::yield_now();
+                }
+                let t_end = fitted_end + 100.0;
+                let batch = format!("# t_end={t_end}\n{}\n", fitted_end + 50.0);
+                let ingest = handle(&state, &request("POST", "/projects/p/events", &batch));
+                assert_eq!(ingest.status, 200, "{}", ingest.body);
+                // Release the hold: the query fits the version it
+                // snapshotted, and answers after the ingest.
+                project.fit.lock().unwrap().in_flight = None;
+                project.fit_ready.notify_all();
+                query.join().unwrap()
+            })
+            .body;
+            assert_eq!(extract_num(&body, "data_version") as u64, version, "{body}");
+            let value = nhpp_data::json::parse(&body).unwrap();
+            let t = match value.as_object().unwrap().get("band") {
+                Some(band) => band
+                    .as_array()
+                    .unwrap()
+                    .last()
+                    .unwrap()
+                    .as_object()
+                    .unwrap()["t"]
+                    .as_f64()
+                    .unwrap(),
+                None => extract_num(&body, "t"),
+            };
+            assert_eq!(t, fitted_end, "{path}: {body}");
+        }
     }
 
     #[test]

@@ -59,6 +59,9 @@ pub struct FitSettings {
 pub struct CachedFit {
     /// Data version the fit was computed at.
     pub version: u64,
+    /// Observation end of the fitted data: the `t` that windowed
+    /// queries on this posterior start from, whatever arrived since.
+    pub observation_end: f64,
     /// The supervised fit (posterior + provenance report).
     pub fit: RobustFit,
     /// Warm-start table extracted from the posterior (VB2 only), used
@@ -107,11 +110,9 @@ pub enum FitServeError {
     DeadlineExceeded,
 }
 
-/// Per-project option tuning: a flat prior makes the exact posterior
-/// over the latent total N improper, so adaptive truncation must be
-/// capped relative to the observed count (the same policy as the batch
-/// CLI) or the first fit of a flat-prior project crawls through an
-/// enormous component sweep.
+/// Per-project options: the request deadline, and the truncation the
+/// project's prior calls for ([`Truncation::for_prior`], the policy the
+/// batch CLI uses too).
 fn tuned_options(
     settings: &FitSettings,
     prior: &nhpp_models::prior::NhppPrior,
@@ -119,15 +120,14 @@ fn tuned_options(
 ) -> RobustOptions {
     let mut options = settings.options;
     options.total_deadline = settings.deadline;
-    if prior.omega.is_flat() || prior.beta.is_flat() {
-        options.base.truncation = Truncation::flat_prior(data.total_count() as u64);
-    }
+    options.base.truncation = Truncation::for_prior(prior, data.total_count() as u64);
     options
 }
 
 /// Builds the cache entry for a finished fit and updates fit metrics.
 fn publish_outcome(
     version: u64,
+    observation_end: f64,
     result: Result<RobustFit, FitFailure>,
     warm_started: bool,
     metrics: &Metrics,
@@ -155,6 +155,7 @@ fn publish_outcome(
                 .fetch_add(iterations, Ordering::Relaxed);
             Ok(Arc::new(CachedFit {
                 version,
+                observation_end,
                 fit,
                 warm,
                 warm_started,
@@ -241,7 +242,13 @@ pub fn ensure_fit(
     options.base.threads = settings.threads;
     let warm_started = warm.is_some();
     let result = fit_supervised_warm(spec, prior, &data, options, warm.as_ref());
-    let outcome = publish_outcome(version, result, warm_started, metrics);
+    let outcome = publish_outcome(
+        version,
+        data.observation_end(),
+        result,
+        warm_started,
+        metrics,
+    );
 
     let mut slot = project.fit.lock().expect("fit slot poisoned");
     slot.in_flight = None;
@@ -427,7 +434,13 @@ pub fn flush_stale(registry: &Registry, settings: &FitSettings, metrics: &Metric
     // Publish phase.
     let refits = results.len();
     for (claim, result) in claims.into_iter().zip(results) {
-        let outcome = publish_outcome(claim.version, result, claim.warm.is_some(), metrics);
+        let outcome = publish_outcome(
+            claim.version,
+            claim.data.observation_end(),
+            result,
+            claim.warm.is_some(),
+            metrics,
+        );
         let mut slot = claim.project.fit.lock().expect("fit slot poisoned");
         slot.in_flight = None;
         slot.last = Some((claim.version, outcome));

@@ -150,7 +150,7 @@ fn a_first_candidate_range_past_hard_cap_is_a_typed_error() {
     let counts = vec![1, 4_000_000_000_000_000_000];
     let data: ObservedData = GroupedData::new(vec![1.0, 2.0], counts).unwrap().into();
     let options = Vb2Options {
-        truncation: Truncation::flat_prior(data.total_count() as u64),
+        truncation: Truncation::for_prior(&NhppPrior::flat(), data.total_count() as u64),
         ..Vb2Options::default()
     };
     let err = Vb2Posterior::fit(ModelSpec::goel_okumoto(), NhppPrior::flat(), &data, options)
