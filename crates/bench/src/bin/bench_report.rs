@@ -5,8 +5,9 @@
 //! successive substitution and, for the §6 solver conjecture, Newton),
 //! the production and supervised VB2 fits, batch and thread-pool
 //! fitting, NINT, the posterior reliability functionals, the predictive
-//! failure counts, marginal quantiles and the registry's long-history
-//! append and replay, with plain `Instant` medians, and writes a
+//! failure counts, marginal quantiles, the registry's long-history
+//! append and replay and the scheduler's cache hit on that history, with
+//! plain `Instant` medians, and writes a
 //! `BENCH_*.json` report;
 //! `bench_report compare` gates a new report against a previous one.
 //!
@@ -33,7 +34,8 @@ use nhpp_data::sys17;
 use nhpp_dist::Continuous;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_serve::registry::Project;
-use nhpp_serve::{DurabilityPolicy, MemStorage, ProjectConfig, Registry};
+use nhpp_serve::scheduler::ensure_fit;
+use nhpp_serve::{DurabilityPolicy, FitSettings, MemStorage, Metrics, ProjectConfig, Registry};
 use nhpp_vb::{
     fit_supervised, RobustOptions, SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Task,
 };
@@ -314,6 +316,17 @@ fn run(args: &[String]) -> ExitCode {
         for _ in 0..100 {
             newest += 1;
             appending.ingest(&one_event(newest)).expect("valid batch");
+        }
+    });
+    // cache-hit-long-history: 100 `ensure_fit` calls per sample on a
+    // 10^5-event project whose posterior is cached at its version, so
+    // each is a cache hit: a version check, not a copy of the history.
+    let (_, cached) = long_history(LONG_HISTORY);
+    let (settings, fit_metrics) = (FitSettings::default(), Metrics::new());
+    ensure_fit(&cached, &settings, &fit_metrics).expect("the long history fits");
+    record(&mut metrics, "cache-hit-long-history", samples, || {
+        for _ in 0..100 {
+            black_box(ensure_fit(&cached, &settings, &fit_metrics).is_ok());
         }
     });
     let (storage, replaying) = long_history(LONG_HISTORY);

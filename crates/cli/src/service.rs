@@ -11,6 +11,8 @@
 use crate::args::ParsedArgs;
 use crate::commands::CliError;
 use nhpp_bench::json;
+use nhpp_models::prior::NhppPrior;
+use nhpp_models::ModelSpec;
 use nhpp_serve::{
     client_request_with_backoff, DurabilityPolicy, FitSettings, FsStorage, MonitorConfig,
     Registry, SchemeSelect, Server, ServerConfig, SnapshotStatus,
@@ -244,6 +246,12 @@ pub fn cmd_client(args: &ParsedArgs) -> Result<String, CliError> {
             let kind = args.get("kind").unwrap_or(kind);
             let model = args.get("model").unwrap_or("go");
             let prior = args.get("prior").unwrap_or("paper-info-times");
+            // The shared grammars reject a bad label before any request.
+            // The URL is not percent-decoded, so the prior goes without
+            // whitespace: the form the server stores.
+            model.parse::<ModelSpec>().map_err(run_err("--model"))?;
+            prior.parse::<NhppPrior>().map_err(run_err("--prior"))?;
+            let prior: String = prior.split_whitespace().collect();
             let path = format!("/projects/{project}?kind={kind}&model={model}&prior={prior}");
             let body = expect_ok(addr, "PUT", &path, None)?;
             Ok(format!("{body}\n"))
@@ -613,6 +621,37 @@ mod tests {
         assert!(out.contains("14 quantities compared, 0 failed"), "{out}");
 
         std::fs::remove_file(csv).ok();
+        handle.shutdown();
+    }
+
+    /// A spaced prior tuple, which `nhpp fit --prior` accepts, creates
+    /// the project and is stored as the whitespace-free label of the
+    /// same prior; bad labels fail before any request is sent.
+    #[test]
+    fn create_sends_a_spaced_prior_as_its_stored_label() {
+        let handle = spawn_server();
+        let addr = handle.addr().to_string();
+        let spaced = "50, 16, 1e-5, 3.2e-6";
+        let out = cmd_client(&parse(&[
+            "client", "--addr", &addr, "--op", "create", "--project", "p", "--prior", spaced,
+        ]))
+        .unwrap();
+        assert!(out.contains("\"existed\": false"), "{out}");
+        let summary = get_json(&addr, "/projects/p").unwrap();
+        let stored = summary.as_object().unwrap()["prior"].as_str().unwrap();
+        assert_eq!(stored, "50,16,1e-5,3.2e-6");
+        assert_eq!(stored.parse::<NhppPrior>(), spaced.parse::<NhppPrior>());
+
+        // Nothing reaches the server for a label the grammar rejects.
+        for (flag, label) in [("--prior", "50, 16"), ("--model", "gompertz")] {
+            let err = cmd_client(&parse(&[
+                "client", "--addr", &addr, "--op", "create", "--project", "q", flag, label,
+            ]))
+            .unwrap_err();
+            assert!(err.to_string().starts_with(flag), "{err}");
+        }
+        let (status, _) = nhpp_serve::client_request(&addr, "GET", "/projects/q", None).unwrap();
+        assert_eq!(status, 404);
         handle.shutdown();
     }
 

@@ -46,7 +46,7 @@ pub use erlang::Erlang;
 pub use error::DistError;
 pub use exponential::Exponential;
 pub use gamma::Gamma;
-pub use mixture::{BetaRow, GammaMixture, GammaProductMixture, MixtureComponent};
+pub use mixture::{BetaRow, CellTable, GammaMixture, GammaProductMixture, MixtureComponent};
 pub use normal::Normal;
 pub use poisson::Poisson;
 pub use traits::{Continuous, Discrete, Sample};

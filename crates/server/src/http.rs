@@ -181,6 +181,19 @@ fn bad(message: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message.to_string())
 }
 
+/// The bytes of a one-shot client request: request line, `Host`,
+/// `Content-Length` and `Connection: close`, then the body. Rendered
+/// whole so that the client sends it in one write, and the server's
+/// worker wakes once for it rather than once per fragment.
+fn render_request(addr: &str, method: &str, path_and_query: &str, body: Option<&str>) -> Vec<u8> {
+    let payload = body.unwrap_or("");
+    format!(
+        "{method} {path_and_query} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
+        payload.len()
+    )
+    .into_bytes()
+}
+
 /// Blocking one-shot client used by the CLI client, the load generator
 /// and the end-to-end tests: connects, sends one request, returns
 /// `(status, body)`.
@@ -212,13 +225,7 @@ pub fn client_request_full(
 ) -> io::Result<(u16, Option<u32>, String)> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(std::time::Duration::from_secs(60)))?;
-    let payload = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path_and_query} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    )?;
-    stream.flush()?;
+    stream.write_all(&render_request(addr, method, path_and_query, body))?;
 
     let mut reader = BufReader::new(stream);
     let mut status_line = String::new();
@@ -335,6 +342,30 @@ mod tests {
         assert_eq!(req.param("param"), Some("omega"));
         assert_eq!(req.segments(), vec!["projects", "p1", "events"]);
         assert_eq!(req.body, b"# t_end=1");
+    }
+
+    #[test]
+    fn client_requests_render_whole_and_parse_back() {
+        let bytes = render_request(
+            "127.0.0.1:7878",
+            "POST",
+            "/projects/p1/events",
+            Some("1,2\n"),
+        );
+        assert_eq!(
+            bytes,
+            b"POST /projects/p1/events HTTP/1.1\r\nHost: 127.0.0.1:7878\r\n\
+              Content-Length: 4\r\nConnection: close\r\n\r\n1,2\n"
+        );
+        let req = read_request(&mut bytes.as_slice()).unwrap();
+        assert_eq!(
+            (req.method.as_str(), req.body.as_slice()),
+            ("POST", &b"1,2\n"[..])
+        );
+        assert_eq!(
+            render_request("h:1", "GET", "/metrics", None),
+            b"GET /metrics HTTP/1.1\r\nHost: h:1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+        );
     }
 
     #[test]

@@ -186,7 +186,10 @@ pub fn ensure_fit(
     settings: &FitSettings,
     metrics: &Metrics,
 ) -> Result<Arc<CachedFit>, FitServeError> {
-    let (version, data, spec, prior) = project.snapshot().map_err(FitServeError::Registry)?;
+    // The version is read first, in O(1): only a miss copies the history,
+    // and neither read holds the state lock while the slot lock is held.
+    let mut version = project.version();
+    let mut snapshot = None;
     let deadline_at = settings.deadline.map(|d| Instant::now() + d);
 
     let mut slot = project.fit.lock().expect("fit slot poisoned");
@@ -203,6 +206,18 @@ pub fn ensure_fit(
                 }
                 return outcome.clone().map_err(FitServeError::Fit);
             }
+        }
+        if snapshot.is_none() {
+            // A miss: copy the history with the slot unlocked, then
+            // re-check at the copy's version, which may be newer than the
+            // one read above. A fit claimed later fits this copy, so the
+            // answer is for the version current when the miss was seen.
+            drop(slot);
+            let (v, data, spec, prior) = project.snapshot().map_err(FitServeError::Registry)?;
+            version = v;
+            snapshot = Some((data, spec, prior));
+            slot = project.fit.lock().expect("fit slot poisoned");
+            continue;
         }
         match slot.in_flight {
             Some(v) => {
@@ -237,6 +252,7 @@ pub fn ensure_fit(
         }
     };
     drop(slot);
+    let (data, spec, prior) = snapshot.expect("a fit is claimed only after a snapshot");
 
     let mut options = tuned_options(settings, &prior, &data);
     options.base.threads = settings.threads;
@@ -378,22 +394,29 @@ pub fn flush_stale(registry: &Registry, settings: &FitSettings, metrics: &Metric
         prior: nhpp_models::prior::NhppPrior,
         warm: Option<Vb2WarmStart>,
     }
+    // Whether the slot wants a background refit at `version`: nothing in
+    // flight, not cached, and not evicted. The LRU dropped an evicted
+    // posterior to stay under the memory bound; refitting it from the
+    // background tick would undo the eviction. A direct query still
+    // refits on demand.
+    let wants_refit = |slot: &FitSlot, version: u64| {
+        slot.in_flight.is_none()
+            && !matches!(&slot.last, Some((v, _)) if *v == version)
+            && slot.evicted != Some(version)
+    };
     let mut claims: Vec<Claim> = Vec::new();
     for project in registry.all() {
+        // The O(1) version decides first, so an idle project is not
+        // copied; the copy's own version is then checked again.
+        let version = project.version();
+        if !wants_refit(&project.fit.lock().expect("fit slot poisoned"), version) {
+            continue;
+        }
         let Ok((version, data, spec, prior)) = project.snapshot() else {
             continue;
         };
         let mut slot = project.fit.lock().expect("fit slot poisoned");
-        if slot.in_flight.is_some() {
-            continue;
-        }
-        if matches!(&slot.last, Some((v, _)) if *v == version) {
-            continue;
-        }
-        if slot.evicted == Some(version) {
-            // The LRU dropped this posterior to stay under the memory
-            // bound; refitting it from the background tick would undo
-            // the eviction. A direct query still refits on demand.
+        if !wants_refit(&slot, version) {
             continue;
         }
         slot.in_flight = Some(version);

@@ -9,10 +9,17 @@
 //! must agree to 1e-12 relative at every System 17 chart gap; burst-size
 //! gaps, where the reference itself loses digits, are checked against
 //! quadrature of the density in `nhpp_vb::reliability`'s unit tests.
+//!
+//! The GO and DSS point estimate runs on the mixture's 48-node cell
+//! table. Beyond the System 17 D_T fits, it is checked on the grouped
+//! fits and on an ingest-like history, the posteriors the service charts
+//! and queries, to 1e-13 in R itself: at `1 − R = 3e-3` the reference's
+//! own summation roundoff (~1.5e-14) is already 5e-12 of `1 − R`.
 
 use nhpp_bench::Scenario;
-use nhpp_data::sys17;
+use nhpp_data::{sys17, FailureTimeData};
 use nhpp_dist::{Continuous, Gamma, GammaProductMixture};
+use nhpp_models::prior::NhppPrior;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_numeric::quadrature::GaussLegendre;
 use nhpp_numeric::roots::bisect;
@@ -194,4 +201,70 @@ fn concurrent_first_calls_build_one_table() {
     let serial = fresh.reliability_point(t, u).to_bits();
     assert!(bits.iter().all(|&b| b == serial), "{bits:?} vs {serial}");
     assert_eq!(post.mixture().beta_table(), fresh.mixture().beta_table());
+    assert_eq!(post.mixture().cell_table(), fresh.mixture().cell_table());
+}
+
+/// The bound on |ΔR| between the cell rule and the reference.
+const CELL_ABS_BOUND: f64 = 1e-13;
+
+fn assert_cells_within_bound(
+    spec: ModelSpec,
+    scenario: &Scenario,
+    windows: impl IntoIterator<Item = (f64, f64)>,
+) {
+    let post = fit(spec, scenario);
+    for (t, u) in windows {
+        let (got, want) = (
+            post.reliability_point(t, u),
+            reference_point(post.mixture(), spec, t, u),
+        );
+        assert!(
+            (got - want).abs() <= CELL_ABS_BOUND,
+            "α₀={} {} R({t}, {u}): {got} vs {want} (ΔR {:e})",
+            spec.alpha0(),
+            scenario.name,
+            got - want
+        );
+    }
+}
+
+/// Grouped System 17 fits, at one-day windows from every day boundary
+/// of the observation period and at the scenario's missions after it.
+#[test]
+fn grouped_fits_agree_across_the_observation_period() {
+    for spec in [ModelSpec::goel_okumoto(), ModelSpec::delayed_s_shaped()] {
+        for scenario in [Scenario::dg_info(), Scenario::dg_noinfo()] {
+            let t_end = scenario.data.observation_end();
+            let days = (0..sys17::WORKING_DAYS).map(|d| (d as f64, 1.0));
+            let missions = scenario.missions.map(|u| (t_end, u));
+            assert_cells_within_bound(spec, &scenario, days.chain(missions));
+        }
+    }
+}
+
+/// System 17 plus 40 failures appended the way the monitored ingest
+/// workload appends them, at gaps spread over `[4 000, 12 000)` s, under
+/// `paper-info-times`: a fit of ~235 components.
+#[test]
+fn ingest_like_history_agrees_at_every_chart_gap() {
+    let mut times = sys17::FAILURE_TIMES.to_vec();
+    let mut t = sys17::T_END;
+    for i in 1..=40 {
+        // Golden-ratio steps cover the gap range evenly without an RNG.
+        t += 4_000.0 + 8_000.0 * (i as f64 * 0.618_033_988_75).fract();
+        times.push(t);
+    }
+    let gaps: Vec<(f64, f64)> = times
+        .windows(2)
+        .map(|pair| (pair[0], pair[1] - pair[0]))
+        .collect();
+    let scenario = Scenario {
+        name: "ingest-like",
+        data: FailureTimeData::new(times, t).unwrap().into(),
+        prior: NhppPrior::paper_info_times(),
+        missions: [1_000.0, 10_000.0],
+    };
+    for spec in [ModelSpec::goel_okumoto(), ModelSpec::delayed_s_shaped()] {
+        assert_cells_within_bound(spec, &scenario, gaps.iter().copied());
+    }
 }
