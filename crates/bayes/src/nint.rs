@@ -604,8 +604,14 @@ mod tests {
         let masses = [0.0, 0.0, 0.0, 0.5, 0.5];
         let (lo, hi) = (0.0, 6.0);
         // Endpoints are exact.
-        assert_eq!(NintPosterior::marginal_quantile(&nodes, &masses, lo, hi, 0.0), lo);
-        assert_eq!(NintPosterior::marginal_quantile(&nodes, &masses, lo, hi, 1.0), hi);
+        assert_eq!(
+            NintPosterior::marginal_quantile(&nodes, &masses, lo, hi, 0.0),
+            lo
+        );
+        assert_eq!(
+            NintPosterior::marginal_quantile(&nodes, &masses, lo, hi, 1.0),
+            hi
+        );
         // A small p must not be dragged into the empty leading region:
         // the CDF is flat up to node 3, so every quantile lies at or
         // beyond it.

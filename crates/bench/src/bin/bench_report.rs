@@ -535,7 +535,10 @@ fn run_compare(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     } else {
-        println!("bench_report: no metric regressed more than {:.0}%", max_regression * 100.0);
+        println!(
+            "bench_report: no metric regressed more than {:.0}%",
+            max_regression * 100.0
+        );
         ExitCode::SUCCESS
     }
 }

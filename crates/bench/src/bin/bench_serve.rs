@@ -271,8 +271,7 @@ fn overload_main(out_path: &str, label: String, quick: bool) -> ExitCode {
             compact_at_bytes: 0,
         };
         let registry = Registry::open_with(storage, manual).expect("open registry");
-        let config =
-            ProjectConfig::from_labels("times", "go", "paper-info-times").expect("config");
+        let config = ProjectConfig::from_labels("times", "go", "paper-info-times").expect("config");
         registry.create("cold", config).expect("create");
         let project = registry.get("cold").expect("project");
         for i in 0..batches {
@@ -567,7 +566,12 @@ fn main() -> ExitCode {
         "/projects/sys17?kind=times&model=go&prior=paper-info-times",
         None,
     );
-    must_ok(&addr, "POST", "/projects/sys17/events", Some(&sys17_batch()));
+    must_ok(
+        &addr,
+        "POST",
+        "/projects/sys17/events",
+        Some(&sys17_batch()),
+    );
     // Warm the posterior so the latency sections measure the cached
     // query path, not one giant first fit.
     must_ok(&addr, "GET", "/projects/sys17/fit", None);

@@ -84,13 +84,17 @@ impl Report {
     /// mismatched `schema` tag, or a metric without `median_ms`, is not.
     pub fn from_json(text: &str) -> Result<Report, String> {
         let value = json::parse(text)?;
-        let top = value.as_object().ok_or("top-level value must be an object")?;
+        let top = value
+            .as_object()
+            .ok_or("top-level value must be an object")?;
         let schema = top
             .get("schema")
             .and_then(Value::as_str)
             .ok_or("missing \"schema\" tag")?;
         if schema != SCHEMA {
-            return Err(format!("unsupported schema {schema:?}, expected {SCHEMA:?}"));
+            return Err(format!(
+                "unsupported schema {schema:?}, expected {SCHEMA:?}"
+            ));
         }
         let label = top
             .get("label")

@@ -354,8 +354,8 @@ fn fit_method(
 ) -> Result<(Box<dyn Posterior>, Option<FitReport>), CliError> {
     match method {
         "vb2" => {
-            let fit = fit_supervised(spec, prior, data, robust)
-                .map_err(run_err("VB2 supervised fit"))?;
+            let fit =
+                fit_supervised(spec, prior, data, robust).map_err(run_err("VB2 supervised fit"))?;
             Ok((Box::new(fit.posterior), Some(fit.report)))
         }
         "vb1" => Ok((
@@ -966,7 +966,10 @@ mod tests {
             "50,15.8,1e-5,3.2e-6",
         ]))
         .unwrap();
-        assert!(out.contains("pipeline: provenance=vb2, attempts=1"), "{out}");
+        assert!(
+            out.contains("pipeline: provenance=vb2, attempts=1"),
+            "{out}"
+        );
         std::fs::remove_file(path).ok();
     }
 
@@ -1040,10 +1043,8 @@ mod tests {
 
     #[test]
     fn calibrate_learn_and_show_round_trip() {
-        let path = std::env::temp_dir().join(format!(
-            "nhpp_cli_calibrate_{}.json",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("nhpp_cli_calibrate_{}.json", std::process::id()));
         let out = run(&parse(&[
             "calibrate",
             "learn",

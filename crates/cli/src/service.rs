@@ -14,8 +14,8 @@ use nhpp_bench::json;
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::ModelSpec;
 use nhpp_serve::{
-    client_request_with_backoff, DurabilityPolicy, FitSettings, FsStorage, MonitorConfig,
-    Registry, SchemeSelect, Server, ServerConfig, SnapshotStatus,
+    client_request_with_backoff, DurabilityPolicy, FitSettings, FsStorage, MonitorConfig, Registry,
+    SchemeSelect, Server, ServerConfig, SnapshotStatus,
 };
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -198,7 +198,12 @@ pub fn cmd_compact(args: &ParsedArgs) -> Result<String, CliError> {
 /// wait, 5 s of sleeping in total) so scripted clients ride out
 /// transient overload instead of failing on the first shed, without a
 /// long shed sequence stalling them past the fit-deadline budget.
-fn http(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result<(u16, String), CliError> {
+fn http(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> Result<(u16, String), CliError> {
     client_request_with_backoff(
         addr,
         method,
@@ -217,7 +222,9 @@ fn expect_ok(addr: &str, method: &str, path: &str, body: Option<&str>) -> Result
     if (200..300).contains(&status) {
         Ok(text)
     } else {
-        Err(CliError::Run(format!("{method} {path}: HTTP {status}: {text}")))
+        Err(CliError::Run(format!(
+            "{method} {path}: HTTP {status}: {text}"
+        )))
     }
 }
 
@@ -242,7 +249,11 @@ pub fn cmd_client(args: &ParsedArgs) -> Result<String, CliError> {
     match op {
         "create" => {
             let project = args.require("project")?;
-            let kind = if args.flag("grouped") { "grouped" } else { "times" };
+            let kind = if args.flag("grouped") {
+                "grouped"
+            } else {
+                "times"
+            };
             let kind = args.get("kind").unwrap_or(kind);
             let model = args.get("model").unwrap_or("go");
             let prior = args.get("prior").unwrap_or("paper-info-times");
@@ -547,10 +558,8 @@ mod tests {
     }
 
     fn temp_times_csv(tag: &str) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!(
-            "nhpp_client_test_{tag}_{}.csv",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("nhpp_client_test_{tag}_{}.csv", std::process::id()));
         let mut file = std::fs::File::create(&path).unwrap();
         let mut buf = Vec::new();
         io::write_failure_times(&mut buf, &sys17::failure_times()).unwrap();
@@ -575,8 +584,17 @@ mod tests {
         let csv = temp_times_csv("lifecycle");
 
         let out = cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "create", "--project", "sys17", "--model", "go",
-            "--prior", "paper-info-times",
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "create",
+            "--project",
+            "sys17",
+            "--model",
+            "go",
+            "--prior",
+            "paper-info-times",
         ]))
         .unwrap();
         assert!(out.contains("\"existed\": false"), "{out}");
@@ -600,13 +618,25 @@ mod tests {
         assert!(out.contains("replayed 38 events in 4 batches"), "{out}");
 
         let out = cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "fit", "--project", "sys17",
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "fit",
+            "--project",
+            "sys17",
         ]))
         .unwrap();
         assert!(out.contains("\"provenance\": \"vb2\""), "{out}");
 
         let out = cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "spc", "--project", "sys17",
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "spc",
+            "--project",
+            "sys17",
         ]))
         .unwrap();
         assert!(out.contains("\"status\""), "{out}");
@@ -615,7 +645,15 @@ mod tests {
         // posterior is the same paper-conformant fit as the batch path.
         let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/smoke.txt");
         let out = cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "check", "--project", "sys17", "--golden", golden,
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "check",
+            "--project",
+            "sys17",
+            "--golden",
+            golden,
         ]))
         .unwrap();
         assert!(out.contains("14 quantities compared, 0 failed"), "{out}");
@@ -633,7 +671,15 @@ mod tests {
         let addr = handle.addr().to_string();
         let spaced = "50, 16, 1e-5, 3.2e-6";
         let out = cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "create", "--project", "p", "--prior", spaced,
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "create",
+            "--project",
+            "p",
+            "--prior",
+            spaced,
         ]))
         .unwrap();
         assert!(out.contains("\"existed\": false"), "{out}");
@@ -645,7 +691,15 @@ mod tests {
         // Nothing reaches the server for a label the grammar rejects.
         for (flag, label) in [("--prior", "50, 16"), ("--model", "gompertz")] {
             let err = cmd_client(&parse(&[
-                "client", "--addr", &addr, "--op", "create", "--project", "q", flag, label,
+                "client",
+                "--addr",
+                &addr,
+                "--op",
+                "create",
+                "--project",
+                "q",
+                flag,
+                label,
             ]))
             .unwrap_err();
             assert!(err.to_string().starts_with(flag), "{err}");
@@ -663,7 +717,15 @@ mod tests {
         // A flat prior gives a different posterior than the paper's
         // informative one; the golden gate must catch it.
         cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "create", "--project", "p", "--prior", "flat",
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "create",
+            "--project",
+            "p",
+            "--prior",
+            "flat",
         ]))
         .unwrap();
         cmd_client(&parse(&[
@@ -680,7 +742,15 @@ mod tests {
         .unwrap();
         let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/smoke.txt");
         let err = cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "check", "--project", "p", "--golden", golden,
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "check",
+            "--project",
+            "p",
+            "--golden",
+            golden,
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("golden check failed"), "{err}");
@@ -694,7 +764,14 @@ mod tests {
         let addr = handle.addr().to_string();
         let csv = temp_times_csv("nocal");
         cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "create", "--project", "p", "--prior",
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "create",
+            "--project",
+            "p",
+            "--prior",
             "paper-info-times",
         ]))
         .unwrap();
@@ -739,7 +816,14 @@ mod tests {
         let addr = handle.addr().to_string();
         let csv = temp_times_csv("monitor");
         cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "create", "--project", "p", "--prior",
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "create",
+            "--project",
+            "p",
+            "--prior",
             "paper-info-times",
         ]))
         .unwrap();
@@ -757,22 +841,32 @@ mod tests {
         .unwrap();
         // Seed the fit cache so the next ingest scores inline.
         cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "fit", "--project", "p",
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "fit",
+            "--project",
+            "p",
         ]))
         .unwrap();
         // A caught-up cursor times out empty (the deliverable either way
         // is the resume cursor).
         let out = cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "monitor", "--timeout-ms", "50",
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "monitor",
+            "--timeout-ms",
+            "50",
         ]))
         .unwrap();
         assert!(out.contains("0 alert(s); resume with --since 0"), "{out}");
 
         // Inject a failure burst; its tiny gaps trip the run threshold.
-        let burst_path = std::env::temp_dir().join(format!(
-            "nhpp_client_test_burst_{}.csv",
-            std::process::id()
-        ));
+        let burst_path =
+            std::env::temp_dir().join(format!("nhpp_client_test_burst_{}.csv", std::process::id()));
         let mut burst = format!("# t_end={}\n", sys17::T_END + 1.0);
         for i in 1..=5 {
             burst.push_str(&format!("{}\n", sys17::T_END + f64::from(i) * 0.01));
@@ -791,7 +885,13 @@ mod tests {
         ]))
         .unwrap();
         let out = cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "monitor", "--timeout-ms", "2000",
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "monitor",
+            "--timeout-ms",
+            "2000",
         ]))
         .unwrap();
         assert!(out.contains("alert seq=1"), "{out}");
@@ -826,7 +926,14 @@ mod tests {
         .unwrap();
         let addr = handle.addr().to_string();
         cmd_client(&parse(&[
-            "client", "--addr", &addr, "--op", "create", "--project", "p", "--prior",
+            "client",
+            "--addr",
+            &addr,
+            "--op",
+            "create",
+            "--project",
+            "p",
+            "--prior",
             "paper-info-times",
         ]))
         .unwrap();
@@ -851,8 +958,14 @@ mod tests {
         assert!(out.contains("1 project(s) checked, 0 unhealthy"), "{out}");
         assert!(out.contains("recovers"), "{out}");
 
-        let out = cmd_compact(&parse(&["compact", "--data-dir", dir_arg, "--project", "p"]))
-            .unwrap();
+        let out = cmd_compact(&parse(&[
+            "compact",
+            "--data-dir",
+            dir_arg,
+            "--project",
+            "p",
+        ]))
+        .unwrap();
         assert!(out.contains("p: log"), "{out}");
         assert!(out.contains("snapshot at v4"), "{out}");
 
@@ -870,8 +983,14 @@ mod tests {
         let err = cmd_fsck(&parse(&["fsck", "--data-dir", dir_arg])).unwrap_err();
         assert!(err.to_string().contains("unhealthy"), "{err}");
 
-        let err = cmd_fsck(&parse(&["fsck", "--data-dir", dir_arg, "--project", "ghost"]))
-            .unwrap_err();
+        let err = cmd_fsck(&parse(&[
+            "fsck",
+            "--data-dir",
+            dir_arg,
+            "--project",
+            "ghost",
+        ]))
+        .unwrap_err();
         assert!(err.to_string().contains("no stored project"), "{err}");
 
         std::fs::remove_file(csv).ok();

@@ -76,8 +76,8 @@ fn cmd_run(mut args: Vec<String>) -> ExitCode {
     let label = flag_value(&mut args, "--label")
         .unwrap_or_else(|| format!("CONFORMANCE_{}", if smoke { "SMOKE" } else { "FULL" }));
     let out = flag_value(&mut args, "--out");
-    let calibration = flag_value(&mut args, "--calibration")
-        .map(|p| load_dictionary(Path::new(&p)));
+    let calibration =
+        flag_value(&mut args, "--calibration").map(|p| load_dictionary(Path::new(&p)));
     let mut coverage_config = CoverageConfig::default();
     let mut sbc_config = SbcConfig::default();
     if let Some(n) = flag_value(&mut args, "--reps") {
@@ -125,7 +125,10 @@ fn check_or_bless(path: &Path, entries: &[golden::GoldenEntry], bless: bool) -> 
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
-            eprintln!("cannot read {}: {e} (run with --bless first?)", path.display());
+            eprintln!(
+                "cannot read {}: {e} (run with --bless first?)",
+                path.display()
+            );
             return false;
         }
     };

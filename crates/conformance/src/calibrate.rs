@@ -138,7 +138,11 @@ impl RegimeSample {
         CalibrationEntry {
             factor,
             raw_rate,
-            calibrated_rate: if fitted == 0 { f64::NAN } else { self.coverage_at(factor) },
+            calibrated_rate: if fitted == 0 {
+                f64::NAN
+            } else {
+                self.coverage_at(factor)
+            },
             fitted,
         }
     }
@@ -209,7 +213,10 @@ mod tests {
         // Truth exactly at the median needs no spread at all.
         assert_eq!(minimal_covering_factor(10.0, (8.0, 14.0), 10.0), 0.0);
         // Degenerate spread with an uncovered truth hits the cap.
-        assert_eq!(minimal_covering_factor(10.0, (10.0, 10.0), 12.0), FACTOR_MAX);
+        assert_eq!(
+            minimal_covering_factor(10.0, (10.0, 10.0), 12.0),
+            FACTOR_MAX
+        );
     }
 
     #[test]
@@ -247,7 +254,9 @@ mod tests {
         assert_eq!(dict.level, 0.95);
         // One regime, all four methods.
         assert_eq!(dict.entries.len(), 4);
-        let entry = dict.lookup("go", "dt", "info", "VB1").expect("pooled entry");
+        let entry = dict
+            .lookup("go", "dt", "info", "VB1")
+            .expect("pooled entry");
         // Both size cells contributed (allowing for rare drops).
         assert!(entry.fitted > config.replications);
         // The default learner seed must stay disjoint from the coverage

@@ -148,7 +148,12 @@ pub fn run_cell_coverage(
         .iter()
         .map(|m| {
             calibration.and_then(|dict| {
-                dict.calibration(cell.model_key(), cell.data_key(), cell.prior_key(), m.label())
+                dict.calibration(
+                    cell.model_key(),
+                    cell.data_key(),
+                    cell.prior_key(),
+                    m.label(),
+                )
             })
         })
         .collect();
@@ -160,8 +165,8 @@ pub fn run_cell_coverage(
         // stream layout matches SBC's and campaigns are independently
         // reproducible.
         let mut rng = cell.rng(config.seed, rep as u64);
-        let (omega_true, beta_true) = sample_prior(&prior, &mut rng)
-            .unwrap_or((cell.omega_true(), cell.beta_true()));
+        let (omega_true, beta_true) =
+            sample_prior(&prior, &mut rng).unwrap_or((cell.omega_true(), cell.beta_true()));
         match cell.simulate_with(omega_true, beta_true, &mut rng) {
             Ok(data) => {
                 for (i, (method, tally)) in methods.iter().zip(tallies.iter_mut()).enumerate() {

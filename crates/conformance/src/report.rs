@@ -291,7 +291,11 @@ impl ConformanceRun {
                     );
                 }
                 out.push_str(" }");
-                out.push_str(if i + 1 == cell.coverage.len() { "\n" } else { ",\n" });
+                out.push_str(if i + 1 == cell.coverage.len() {
+                    "\n"
+                } else {
+                    ",\n"
+                });
             }
             out.push_str("      },\n");
             out.push_str("      \"sbc\": {\n");
@@ -319,7 +323,11 @@ impl ConformanceRun {
             }
             out.push_str("      }\n");
             out.push_str("    }");
-            out.push_str(if ci + 1 == self.cells.len() { "\n" } else { ",\n" });
+            out.push_str(if ci + 1 == self.cells.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         out.push_str("  },\n");
         out.push_str("  \"gate\": {\n");
@@ -402,7 +410,11 @@ impl ConformanceRun {
                 );
             }
         }
-        let _ = writeln!(out, "gate: {}", if self.gate.pass { "PASS" } else { "FAIL" });
+        let _ = writeln!(
+            out,
+            "gate: {}",
+            if self.gate.pass { "PASS" } else { "FAIL" }
+        );
         for f in &self.gate.failures {
             let _ = writeln!(out, "  - {f}");
         }
@@ -418,13 +430,17 @@ impl ConformanceRun {
 /// A description of the first syntax or schema violation.
 pub fn gate_passed(text: &str) -> Result<bool, String> {
     let value = json::parse(text)?;
-    let top = value.as_object().ok_or("top-level value must be an object")?;
+    let top = value
+        .as_object()
+        .ok_or("top-level value must be an object")?;
     let schema = top
         .get("schema")
         .and_then(Value::as_str)
         .ok_or("missing \"schema\" tag")?;
     if schema != SCHEMA {
-        return Err(format!("unsupported schema {schema:?}, expected {SCHEMA:?}"));
+        return Err(format!(
+            "unsupported schema {schema:?}, expected {SCHEMA:?}"
+        ));
     }
     top.get("gate")
         .and_then(Value::as_object)
@@ -530,7 +546,10 @@ mod tests {
         // Calibrated VB1 still outside the band → gate failure.
         let still_bad = with_calibration(fake_cell(true), "VB1", 1.5, false);
         let bad = gate(&[still_bad], 0.95);
-        assert!(bad.failures.iter().any(|f| f.contains("calibrated coverage")));
+        assert!(bad
+            .failures
+            .iter()
+            .any(|f| f.contains("calibrated coverage")));
         // A calibrated run whose dictionary lacks the regime of an
         // under-covering VB1 cell is a failure, not a silent skip.
         let missing = with_calibration(fake_cell(true), "VB2", 1.0, true);

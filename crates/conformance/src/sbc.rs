@@ -96,8 +96,7 @@ pub fn run_sbc(cell: &GridCell, method: Method, config: &SbcConfig) -> SbcResult
         // One RNG per draw: truth first, then the campaign — so a fit
         // failure in draw i cannot shift the randomness of draw i+1.
         let mut rng = cell.rng(config.seed, draw as u64);
-        let (omega_true, beta_true) =
-            sample_prior(&prior, &mut rng).expect("Info prior is proper");
+        let (omega_true, beta_true) = sample_prior(&prior, &mut rng).expect("Info prior is proper");
         let outcome = cell
             .simulate_with(omega_true, beta_true, &mut rng)
             .and_then(|data| method.fit(spec, prior, &data, &vb2_options));

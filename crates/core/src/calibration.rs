@@ -202,8 +202,15 @@ pub fn prior_informativeness(prior: &NhppPrior) -> &'static str {
 
 impl CalibrationDictionary {
     /// Looks up the entry for a regime × method pair.
-    pub fn lookup(&self, model: &str, data: &str, prior: &str, method: &str) -> Option<&CalibrationEntry> {
-        self.entries.get(&dictionary_key(model, data, prior, method))
+    pub fn lookup(
+        &self,
+        model: &str,
+        data: &str,
+        prior: &str,
+        method: &str,
+    ) -> Option<&CalibrationEntry> {
+        self.entries
+            .get(&dictionary_key(model, data, prior, method))
     }
 
     /// The transform for a regime × method pair, when present.
@@ -241,7 +248,11 @@ impl CalibrationDictionary {
                 json_number(e.calibrated_rate),
                 e.fitted,
             );
-            out.push_str(if i + 1 == self.entries.len() { "\n" } else { ",\n" });
+            out.push_str(if i + 1 == self.entries.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         out.push_str("  }\n}\n");
         out
@@ -256,20 +267,29 @@ impl CalibrationDictionary {
     /// never reach the serving path.
     pub fn parse(text: &str) -> Result<CalibrationDictionary, String> {
         let value = json::parse(text)?;
-        let top = value.as_object().ok_or("top-level value must be an object")?;
+        let top = value
+            .as_object()
+            .ok_or("top-level value must be an object")?;
         let field = |key: &str| top.get(key).ok_or_else(|| format!("missing \"{key}\""));
-        let schema = field("schema")?.as_str().ok_or("\"schema\" must be a string")?;
+        let schema = field("schema")?
+            .as_str()
+            .ok_or("\"schema\" must be a string")?;
         if schema != SCHEMA {
-            return Err(format!("unsupported schema {schema:?}, expected {SCHEMA:?}"));
+            return Err(format!(
+                "unsupported schema {schema:?}, expected {SCHEMA:?}"
+            ));
         }
         let label = field("label")?
             .as_str()
             .ok_or("\"label\" must be a string")?
             .to_string();
         let seed = field("seed")?.as_f64().ok_or("\"seed\" must be a number")? as u64;
-        let replications =
-            field("replications")?.as_f64().ok_or("\"replications\" must be a number")? as usize;
-        let level = field("level")?.as_f64().ok_or("\"level\" must be a number")?;
+        let replications = field("replications")?
+            .as_f64()
+            .ok_or("\"replications\" must be a number")? as usize;
+        let level = field("level")?
+            .as_f64()
+            .ok_or("\"level\" must be a number")?;
         if !(0.0 < level && level < 1.0) {
             return Err(format!("level {level} outside (0, 1)"));
         }
@@ -398,7 +418,10 @@ mod tests {
         assert_eq!(back, dict);
         let entry = back.lookup("go", "dt", "info", "VB1").expect("entry");
         assert_eq!(entry.factor, 1.625);
-        assert!(back.calibration("go", "dt", "info", "VB2").unwrap().is_identity());
+        assert!(back
+            .calibration("go", "dt", "info", "VB2")
+            .unwrap()
+            .is_identity());
         assert!(back.lookup("dss", "dg", "noinfo", "VB1").is_none());
     }
 
@@ -410,7 +433,9 @@ mod tests {
         assert!(CalibrationDictionary::parse(&bad_factor)
             .unwrap_err()
             .contains("invalid factor"));
-        let missing_rate = dictionary().to_json().replace("\"raw_rate\"", "\"raw_rat\"");
+        let missing_rate = dictionary()
+            .to_json()
+            .replace("\"raw_rate\"", "\"raw_rat\"");
         assert!(CalibrationDictionary::parse(&missing_rate).is_err());
     }
 

@@ -59,13 +59,7 @@ impl Endpoint {
     /// `Q(1, x) = e^{−x}` branch when `α₀ = 1` and otherwise delegates
     /// to the scalar evaluation; the `α₀ + 1` tail steps forward
     /// through the lane Q-recurrence ([`ln_gamma_q_step_lane`]).
-    pub(crate) fn eval_tail_lane(
-        alpha0: f64,
-        xi: f64,
-        t: f64,
-        gln: f64,
-        gln1: f64,
-    ) -> (f64, f64) {
+    pub(crate) fn eval_tail_lane(alpha0: f64, xi: f64, t: f64, gln: f64, gln1: f64) -> (f64, f64) {
         let x = xi * t;
         if alpha0 == 1.0 {
             let ln_q = if x == 0.0 { 0.0 } else { -x };
@@ -137,12 +131,7 @@ pub(crate) fn mean_from_masses(alpha0: f64, xi: f64, ln_mass: f64, ln_mass1: f64
 /// `(t, ∞)`, where the mass is never zero:
 /// `(α₀/ξ)·exp(ln M_{α₀+1} − ln M_{α₀})` on the lane exponential
 /// kernel ([`exp_lane`]) — per-element bitwise at any block width.
-pub(crate) fn tail_mean_from_masses_lane(
-    alpha0: f64,
-    xi: f64,
-    ln_mass: f64,
-    ln_mass1: f64,
-) -> f64 {
+pub(crate) fn tail_mean_from_masses_lane(alpha0: f64, xi: f64, ln_mass: f64, ln_mass1: f64) -> f64 {
     (alpha0 / xi) * exp_lane(ln_mass1 - ln_mass)
 }
 

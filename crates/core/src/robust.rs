@@ -29,11 +29,11 @@ use crate::error::VbError;
 use crate::fault::FaultPlan;
 use crate::vb1::{Vb1Options, Vb1Posterior};
 use crate::vb2::{SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2WarmStart};
-use nhpp_numeric::NumericError;
 use nhpp_bayes::laplace::LaplacePosterior;
 use nhpp_data::ObservedData;
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::{ModelSpec, Posterior};
+use nhpp_numeric::NumericError;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -468,10 +468,7 @@ pub fn fit_supervised_warm(
                 }
                 if let VbError::TruncationOverflow { cap, tail_mass } = &err {
                     if let Truncation::Adaptive { epsilon } = truncation {
-                        truncation = Truncation::AdaptiveCapped {
-                            epsilon,
-                            cap: *cap,
-                        };
+                        truncation = Truncation::AdaptiveCapped { epsilon, cap: *cap };
                         report.warnings.push(format!(
                             "adaptive truncation overflowed its hard cap; degraded to a capped \
                              policy at n_max={cap} with tail mass {tail_mass:.3e} above tolerance"
@@ -510,7 +507,10 @@ pub fn fit_supervised_warm(
             report.attempts.push(AttemptRecord {
                 method: "vb1",
                 attempt: 0,
-                detail: format!("tol={:.1e}, max_iter={}", vb1_options.tol, vb1_options.max_iter),
+                detail: format!(
+                    "tol={:.1e}, max_iter={}",
+                    vb1_options.tol, vb1_options.max_iter
+                ),
                 outcome: Ok(()),
                 kind: None,
             });
@@ -524,7 +524,10 @@ pub fn fit_supervised_warm(
             report.attempts.push(AttemptRecord {
                 method: "vb1",
                 attempt: 0,
-                detail: format!("tol={:.1e}, max_iter={}", vb1_options.tol, vb1_options.max_iter),
+                detail: format!(
+                    "tol={:.1e}, max_iter={}",
+                    vb1_options.tol, vb1_options.max_iter
+                ),
                 outcome: Err(err.to_string()),
                 kind: Some(FailureKind::classify(&err)),
             });

@@ -17,6 +17,7 @@
 //! underestimated, which is precisely the deficiency motivating VB2
 //! (Tables 1–5 of the paper).
 
+use crate::endpoint::{ln_mass_between, mean_from_masses, Endpoint};
 use crate::error::VbError;
 use crate::fault::FaultKind;
 use crate::reliability;
@@ -25,7 +26,6 @@ use nhpp_dist::{Gamma, GammaProductMixture, MixtureComponent};
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_numeric::Budget;
-use crate::endpoint::{ln_mass_between, mean_from_masses, Endpoint};
 use nhpp_special::{digamma, ln_gamma};
 use std::time::Duration;
 

@@ -42,6 +42,7 @@
 //! The truncation point `n_max` grows (Step 4) until
 //! `Pᵥ(n_max) < ε`.
 
+use crate::endpoint::{ln_mass_between, mean_from_masses, tail_mean_from_masses_lane, Endpoint};
 use crate::error::VbError;
 use crate::fault::FaultKind;
 use crate::reliability;
@@ -53,10 +54,8 @@ use nhpp_numeric::fixed_point::{
     bisection_fixed_point, newton_fixed_point_budgeted, successive_substitution_budgeted,
 };
 use nhpp_numeric::{parallel, Budget, NumericError, SharedBudget};
-use crate::endpoint::{ln_mass_between, mean_from_masses, tail_mean_from_masses_lane, Endpoint};
 use nhpp_special::{
-    ln_factorial, ln_gamma, LnGammaLadder, SimdDispatch, SimdPolicy, StreamingLogSumExp,
-    WIDE_LANES,
+    ln_factorial, ln_gamma, LnGammaLadder, SimdDispatch, SimdPolicy, StreamingLogSumExp, WIDE_LANES,
 };
 use std::cell::RefCell;
 use std::time::Duration;
@@ -504,9 +503,7 @@ impl Vb2WarmStart {
     /// buffer, or a non-finite / non-positive entry — a torn or
     /// corrupted snapshot never becomes a silently wrong warm start.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, VbError> {
-        let take8 = |at: usize| -> Option<[u8; 8]> {
-            bytes.get(at..at + 8)?.try_into().ok()
-        };
+        let take8 = |at: usize| -> Option<[u8; 8]> { bytes.get(at..at + 8)?.try_into().ok() };
         if bytes.len() < 24 || &bytes[..8] != WARM_START_MAGIC {
             return Err(VbError::InvalidOption {
                 message: "warm-start snapshot: bad magic or truncated header",
@@ -856,10 +853,7 @@ impl Vb2Posterior {
     /// supersedes component-level parallelism here: each task runs with
     /// `threads = 1` internally, which keeps every individual result
     /// bitwise identical to a standalone serial [`Vb2Posterior::fit`].
-    pub fn fit_many(
-        tasks: &[Vb2Task<'_>],
-        threads: usize,
-    ) -> Vec<Result<Vb2Posterior, VbError>> {
+    pub fn fit_many(tasks: &[Vb2Task<'_>], threads: usize) -> Vec<Result<Vb2Posterior, VbError>> {
         parallel::map_items(threads, tasks, |_, task| {
             // One scratch per worker thread, reused across all the
             // tasks that worker drains — the batch path allocates per
@@ -1318,7 +1312,14 @@ fn solve_chunk(
     let mut idx = 0;
     if let Some(kind) = wide_sweep_kind(ctx) {
         idx = solve_lane_blocks::<WIDE_LANES>(
-            ctx, kind, ns, out, &mut warm_xi, &mut ladder_a, &mut ladder_b, shared,
+            ctx,
+            kind,
+            ns,
+            out,
+            &mut warm_xi,
+            &mut ladder_a,
+            &mut ladder_b,
+            shared,
         )?;
     }
     for (&n, slot) in ns[idx..].iter().zip(out[idx..].iter_mut()) {
@@ -1512,7 +1513,10 @@ fn solve_lanes<const L: usize>(
                     }
                 }
                 LaneKind::GroupedExp => {
-                    let agg = ctx.grouped_agg.as_ref().expect("guarded by wide_sweep_kind");
+                    let agg = ctx
+                        .grouped_agg
+                        .as_ref()
+                        .expect("guarded by wide_sweep_kind");
                     for i in 0..L {
                         let xi = x[i];
                         let recip = 1.0 / xi;
@@ -1565,8 +1569,7 @@ fn solve_lanes<const L: usize>(
                     let mean = tail_mean_from_masses_lane(ctx.alpha0, xi, ln_q, ln_q1);
                     let tail_mean_term = rf * mean;
                     let zeta = sum_obs + tail_mean_term;
-                    let ln_data =
-                        xi * tail_mean_term - rf * ctx.alpha0 * xi.ln() + rf * ln_q;
+                    let ln_data = xi * tail_mean_term - rf * ctx.alpha0 * xi.ln() + rf * ln_q;
                     (zeta, ln_data)
                 }
                 LaneKind::TimesInt(k) => {
@@ -1586,12 +1589,14 @@ fn solve_lanes<const L: usize>(
                     };
                     let tail_mean_term = rf * mean;
                     let zeta = sum_obs + tail_mean_term;
-                    let ln_data =
-                        xi * tail_mean_term - rf * ctx.alpha0 * xi.ln() + rf * ln_q;
+                    let ln_data = xi * tail_mean_term - rf * ctx.alpha0 * xi.ln() + rf * ln_q;
                     (zeta, ln_data)
                 }
                 LaneKind::GroupedExp => {
-                    let agg = ctx.grouped_agg.as_ref().expect("guarded by wide_sweep_kind");
+                    let agg = ctx
+                        .grouped_agg
+                        .as_ref()
+                        .expect("guarded by wide_sweep_kind");
                     let recip = 1.0 / xi;
                     let mut zeta = agg.s_lo;
                     let mut ln_bins = -xi * agg.s_lo;
@@ -1602,8 +1607,7 @@ fn solve_lanes<const L: usize>(
                     zeta += rf * (t_end + recip);
                     let xx = xi * t_end;
                     let ln_q = if xx == 0.0 { 0.0 } else { -xx };
-                    let ln_data =
-                        xi * zeta - n as f64 * ctx.alpha0 * xi.ln() + rf * ln_q + ln_bins;
+                    let ln_data = xi * zeta - n as f64 * ctx.alpha0 * xi.ln() + rf * ln_q + ln_bins;
                     (zeta, ln_data)
                 }
             };
@@ -1696,8 +1700,7 @@ fn solve_component(
             next
         };
         let x0 = options.init_scale
-            * warm_xi
-                .unwrap_or_else(|| b_shape / (r_b + ctx.zeta(alpha0 / summary.t_end(), n)));
+            * warm_xi.unwrap_or_else(|| b_shape / (r_b + ctx.zeta(alpha0 / summary.t_end(), n)));
         let mut inner = budget.sub_budget(options.inner_max_iter as u64);
         let fp = match options.solver {
             SolverKind::Newton => {
@@ -2256,13 +2259,8 @@ mod tests {
         };
         let serial = Vb2Posterior::fit(spec(), prior, &data, options).unwrap();
         for threads in [2usize, 8] {
-            let parallel = Vb2Posterior::fit(
-                spec(),
-                prior,
-                &data,
-                Vb2Options { threads, ..options },
-            )
-            .unwrap();
+            let parallel =
+                Vb2Posterior::fit(spec(), prior, &data, Vb2Options { threads, ..options }).unwrap();
             assert_eq!(bits(&parallel), bits(&serial), "threads={threads}");
         }
     }
@@ -2304,8 +2302,10 @@ mod tests {
         assert!((scalar.elbo() - wide.elbo()).abs() < 1e-6);
         // Each lane width is individually deterministic: repeating the
         // fit reproduces it bitwise.
-        for (policy, first) in [(SimdPolicy::ForceScalar, &scalar), (SimdPolicy::ForceWide, &wide)]
-        {
+        for (policy, first) in [
+            (SimdPolicy::ForceScalar, &scalar),
+            (SimdPolicy::ForceWide, &wide),
+        ] {
             let again = Vb2Posterior::fit(
                 spec(),
                 prior,
@@ -2340,8 +2340,7 @@ mod tests {
         assert_eq!(serial.lane_width(), WIDE_LANES);
         for threads in [2usize, 8] {
             let parallel =
-                Vb2Posterior::fit(spec(), prior, &data, Vb2Options { threads, ..options })
-                    .unwrap();
+                Vb2Posterior::fit(spec(), prior, &data, Vb2Options { threads, ..options }).unwrap();
             assert_eq!(bits(&parallel), bits(&serial), "threads={threads}");
         }
     }
@@ -2498,9 +2497,8 @@ mod tests {
             ..Vb2Options::default()
         };
         let cold = Vb2Posterior::fit(spec(), prior, &data, options).unwrap();
-        let warm =
-            Vb2Posterior::fit_warm(spec(), prior, &data, options, Some(&cold.warm_start()))
-                .unwrap();
+        let warm = Vb2Posterior::fit_warm(spec(), prior, &data, options, Some(&cold.warm_start()))
+            .unwrap();
         assert!(
             warm.inner_iterations() <= cold.inner_iterations(),
             "warm {} vs cold {}",
@@ -2556,8 +2554,7 @@ mod tests {
         let batch = Vb2Posterior::fit_many(&tasks, 4);
         assert_eq!(batch.len(), tasks.len());
         for (task, result) in tasks.iter().zip(&batch) {
-            let one =
-                Vb2Posterior::fit(task.spec, task.prior, task.data, task.options).unwrap();
+            let one = Vb2Posterior::fit(task.spec, task.prior, task.data, task.options).unwrap();
             let posterior = result.as_ref().unwrap();
             assert_eq!(bits(posterior), bits(&one));
         }

@@ -179,8 +179,7 @@ impl<'a> LogPosterior<'a> {
             let mut s = self.prior.beta.ln_density(b);
             match self.data {
                 ObservedData::Times(d) => {
-                    s += count * (a0 * b.ln() - ln_gamma(a0))
-                        + (a0 - 1.0) * d.sum_ln_times()
+                    s += count * (a0 * b.ln() - ln_gamma(a0)) + (a0 - 1.0) * d.sum_ln_times()
                         - b * d.sum_times();
                 }
                 ObservedData::Grouped(d) => {
@@ -194,11 +193,7 @@ impl<'a> LogPosterior<'a> {
             b_terms.push(s);
             neg_g.push(-law.cdf(t_end));
         }
-        for ((row, &w), &a) in out
-            .chunks_mut(betas.len())
-            .zip(omegas)
-            .zip(&a_of_omega)
-        {
+        for ((row, &w), &a) in out.chunks_mut(betas.len()).zip(omegas).zip(&a_of_omega) {
             for ((cell, &b_term), &g) in row.iter_mut().zip(&b_terms).zip(&neg_g) {
                 *cell = w.mul_add(g, a + b_term);
             }

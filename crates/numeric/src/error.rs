@@ -60,7 +60,10 @@ impl fmt::Display for NumericError {
             }
             NumericError::InvalidArgument { message } => write!(f, "invalid argument: {message}"),
             NumericError::BudgetExhausted { used, reason } => {
-                write!(f, "solve budget exhausted after {used} iterations ({reason})")
+                write!(
+                    f,
+                    "solve budget exhausted after {used} iterations ({reason})"
+                )
             }
         }
     }

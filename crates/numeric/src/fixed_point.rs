@@ -247,7 +247,8 @@ mod tests {
     #[test]
     fn budgeted_substitution_reports_exhaustion() {
         let mut budget = Budget::iterations(50);
-        let err = successive_substitution_budgeted(|x| 2.0 * x, 1.0, 1e-12, &mut budget).unwrap_err();
+        let err =
+            successive_substitution_budgeted(|x| 2.0 * x, 1.0, 1e-12, &mut budget).unwrap_err();
         assert!(matches!(err, NumericError::BudgetExhausted { .. }));
     }
 

@@ -38,7 +38,11 @@ pub fn auto_threads() -> usize {
 /// the result is capped by the number of work units so no worker is
 /// spawned just to find the queue empty.
 fn resolve_threads(threads: usize, units: usize) -> usize {
-    let threads = if threads == 0 { auto_threads() } else { threads };
+    let threads = if threads == 0 {
+        auto_threads()
+    } else {
+        threads
+    };
     threads.min(units).max(1)
 }
 
@@ -240,7 +244,10 @@ mod tests {
             }
             out
         };
-        let serial: Vec<f64> = run_chunks(1, 32, &items, warm).into_iter().flatten().collect();
+        let serial: Vec<f64> = run_chunks(1, 32, &items, warm)
+            .into_iter()
+            .flatten()
+            .collect();
         for threads in [2, 8] {
             let parallel: Vec<f64> = run_chunks(threads, 32, &items, warm)
                 .into_iter()

@@ -509,9 +509,16 @@ mod tests {
         let per_wait = std::time::Duration::from_millis(30);
         let deadline = std::time::Duration::from_millis(75);
         let started = std::time::Instant::now();
-        let (status, body) =
-            client_request_with_backoff(&addr, "GET", "/projects/p/fit", None, 10, per_wait, deadline)
-                .unwrap();
+        let (status, body) = client_request_with_backoff(
+            &addr,
+            "GET",
+            "/projects/p/fit",
+            None,
+            10,
+            per_wait,
+            deadline,
+        )
+        .unwrap();
         let elapsed = started.elapsed();
         assert_eq!(status, 503);
         assert!(body.contains("overloaded"), "{body}");

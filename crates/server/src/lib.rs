@@ -45,7 +45,9 @@ pub mod scheduler;
 pub mod server;
 pub mod storage;
 
-pub use http::{client_request, client_request_full, client_request_with_backoff, Request, Response};
+pub use http::{
+    client_request, client_request_full, client_request_with_backoff, Request, Response,
+};
 pub use metrics::Metrics;
 pub use monitor::{Alert, ChartPoint, ChartSnapshot, Monitor, MonitorConfig, SchemeSelect};
 pub use registry::{

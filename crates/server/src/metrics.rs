@@ -401,7 +401,10 @@ mod tests {
             scrape_counter(&text, "nhpp_serve_recovery_torn_tails_total"),
             Some(3)
         );
-        assert_eq!(scrape_counter(&text, "nhpp_serve_compactions_total"), Some(1));
+        assert_eq!(
+            scrape_counter(&text, "nhpp_serve_compactions_total"),
+            Some(1)
+        );
         // Without recovery stats the durability counters are absent.
         assert!(!m.render().contains("recovery_torn_tails"));
     }

@@ -545,7 +545,9 @@ impl Monitor {
             // points in memory only; they are rescored (bitwise, per the
             // determinism contract) after the next recovery.
             if !journal.is_empty() && storage.append(&mon_name, &journal).is_err() {
-                metrics.monitor_persist_errors.fetch_add(1, Ordering::Relaxed);
+                metrics
+                    .monitor_persist_errors
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
         pending
@@ -595,10 +597,14 @@ impl Monitor {
                 .append(&format!("{project_id}.mon"), &journal)
                 .is_err()
             {
-                metrics.monitor_persist_errors.fetch_add(1, Ordering::Relaxed);
+                metrics
+                    .monitor_persist_errors
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
-        metrics.monitor_alerts.fetch_add(published, Ordering::Relaxed);
+        metrics
+            .monitor_alerts
+            .fetch_add(published, Ordering::Relaxed);
         published
     }
 }
@@ -608,12 +614,7 @@ fn collect_since(log: &AlertLog, since: u64) -> (Vec<Alert>, u64, bool) {
         Some(front) => front.seq > since + 1 && since + 1 < log.next_seq,
         None => log.next_seq > since + 1,
     };
-    let alerts: Vec<Alert> = log
-        .ring
-        .iter()
-        .filter(|a| a.seq > since)
-        .cloned()
-        .collect();
+    let alerts: Vec<Alert> = log.ring.iter().filter(|a| a.seq > since).cloned().collect();
     let next = alerts.last().map_or(since, |a| a.seq);
     (alerts, next, dropped)
 }
@@ -635,7 +636,10 @@ pub fn observe_ingest(state: &AppState, project: &Arc<Project>) -> u64 {
         return 0;
     }
     let Some(cached) = cached_fit(project) else {
-        state.metrics.monitor_deferred.fetch_add(1, Ordering::Relaxed);
+        state
+            .metrics
+            .monitor_deferred
+            .fetch_add(1, Ordering::Relaxed);
         return 0;
     };
     score_and_alert(state, monitor, project, &cached)
@@ -773,9 +777,7 @@ fn decode_alert(body: &[u8], project: &str) -> Result<Alert, String> {
         project: project.to_string(),
         scheme: ChartScheme::parse(next()?)?,
         side: ChartStatus::parse(next()?)?,
-        run: next()?
-            .parse()
-            .map_err(|_| "bad run length".to_string())?,
+        run: next()?.parse().map_err(|_| "bad run length".to_string())?,
         index: parse_u64(next()?)?,
         t: next()?.parse().map_err(|_| "bad time".to_string())?,
         p: next()?.parse().map_err(|_| "bad statistic".to_string())?,
@@ -870,7 +872,12 @@ mod tests {
             p: 0.0001,
             fit_version: 1,
         };
-        monitor.publish("p", vec![pending(3), pending(4), pending(5)], Some(2), &metrics);
+        monitor.publish(
+            "p",
+            vec![pending(3), pending(4), pending(5)],
+            Some(2),
+            &metrics,
+        );
         assert_eq!(monitor.total_alerts(), 3);
         // Capacity 2: seq 1 was dropped.
         let (alerts, next, dropped) = monitor.alerts_since(0);

@@ -510,7 +510,8 @@ fn maintain(state: &mut ProjectState) {
     let (due_snapshot, due_compact) = match state.store.as_ref() {
         None => return,
         Some(store) => (
-            store.policy.snapshot_every > 0 && state.version.is_multiple_of(store.policy.snapshot_every),
+            store.policy.snapshot_every > 0
+                && state.version.is_multiple_of(store.policy.snapshot_every),
             store.policy.compact_at_bytes > 0 && store.log_bytes >= store.policy.compact_at_bytes,
         ),
     };
@@ -1010,7 +1011,9 @@ impl Registry {
                         RegistryError::Data(format!("batch record without sequence in {log_name}"))
                     })?;
                     let seq: u64 = seq_text.trim().parse().map_err(|_| {
-                        RegistryError::Data(format!("bad batch sequence '{seq_text}' in {log_name}"))
+                        RegistryError::Data(format!(
+                            "bad batch sequence '{seq_text}' in {log_name}"
+                        ))
                     })?;
                     if seq <= state.version {
                         // Already covered by the snapshot (or a replayed
@@ -1049,7 +1052,10 @@ impl Registry {
 /// Project ids found in storage: stems of `*.log` / `*.snap` names.
 fn stored_ids(storage: &dyn Storage) -> Result<Vec<String>, RegistryError> {
     let mut ids = BTreeSet::new();
-    for name in storage.list().map_err(|e| io_err("storage list failed", e))? {
+    for name in storage
+        .list()
+        .map_err(|e| io_err("storage list failed", e))?
+    {
         let stem = name
             .strip_suffix(".log")
             .or_else(|| name.strip_suffix(".snap"));
@@ -1201,10 +1207,8 @@ mod tests {
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "nhpp-serve-registry-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("nhpp-serve-registry-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -1486,7 +1490,10 @@ mod tests {
         }
         p.snapshot_now().unwrap();
         let summary = p.summary();
-        assert_eq!(registry.stats().snapshots_written.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            registry.stats().snapshots_written.load(Ordering::Relaxed),
+            1
+        );
 
         // Reopen: the snapshot seeds the state and every log record is
         // a duplicate.
@@ -1596,7 +1603,10 @@ mod tests {
             p.ingest(&batch(&[t], t + 5.0)).unwrap();
         }
         // Versions 3 and 6 snapshot.
-        assert_eq!(registry.stats().snapshots_written.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            registry.stats().snapshots_written.load(Ordering::Relaxed),
+            2
+        );
         let snap = storage.read("p1.snap").unwrap().unwrap();
         let parsed = parse_snapshot_file(&snap).unwrap();
         assert_eq!(parsed.version, 6);
@@ -1651,7 +1661,9 @@ mod tests {
         let torn_p = registry.get("torn").unwrap();
         torn_p.ingest(&batch(&[1.0], 2.0)).unwrap();
         let frame = frame_record(b'B', b"2\n# t_end=9\n6.0\n");
-        storage.append("torn.log", &frame[..frame.len() - 3]).unwrap();
+        storage
+            .append("torn.log", &frame[..frame.len() - 3])
+            .unwrap();
 
         let entries = fsck(storage.as_ref()).unwrap();
         assert_eq!(entries.len(), 2);

@@ -1040,7 +1040,11 @@ mod tests {
         assert_eq!(spc.status, 200, "{}", spc.body);
         let p = extract_num(&spc.body, "p");
         assert!(p > 0.0 && p < 1.0, "p={p}");
-        assert!(spc.body.contains("\"status\": \"in-control\""), "{}", spc.body);
+        assert!(
+            spc.body.contains("\"status\": \"in-control\""),
+            "{}",
+            spc.body
+        );
 
         // All those queries ran exactly one fit.
         let fits = state
@@ -1051,9 +1055,7 @@ mod tests {
 
         let metrics = handle(&state, &get("/metrics"));
         assert_eq!(metrics.status, 200);
-        assert!(
-            crate::metrics::scrape_counter(&metrics.body, "nhpp_serve_fits_total") == Some(1)
-        );
+        assert!(crate::metrics::scrape_counter(&metrics.body, "nhpp_serve_fits_total") == Some(1));
     }
 
     fn monitor_state(run_length: u32) -> AppState {
@@ -1093,7 +1095,12 @@ mod tests {
         assert_eq!(fits(&state), 1);
         // New events bump the data version; the fit is now stale.
         let t_end = sys17::T_END;
-        let batch = format!("# t_end={}\n{}\n{}\n", t_end + 200.0, t_end + 50.0, t_end + 100.0);
+        let batch = format!(
+            "# t_end={}\n{}\n{}\n",
+            t_end + 200.0,
+            t_end + 50.0,
+            t_end + 100.0
+        );
         assert_eq!(
             handle(&state, &request("POST", "/projects/p/events", &batch)).status,
             200
@@ -1225,17 +1232,18 @@ mod tests {
         let status = handle(&state, &get("/monitor/status"));
         assert_eq!(status.status, 200);
         assert_eq!(extract_num(&status.body, "total_alerts") as u64, 2);
-        assert!(status.body.contains("\"project\": \"p\""), "{}", status.body);
+        assert!(
+            status.body.contains("\"project\": \"p\""),
+            "{}",
+            status.body
+        );
 
         // Validation still bites.
         assert_eq!(
             handle(&state, &get("/monitor/wait?timeout_ms=60000")).status,
             400
         );
-        assert_eq!(
-            handle(&state, &get("/monitor/alerts?since=x")).status,
-            400
-        );
+        assert_eq!(handle(&state, &get("/monitor/alerts?since=x")).status, 400);
     }
 
     #[test]
@@ -1405,7 +1413,11 @@ mod tests {
         let resp = fit_serve_error(&state, &FitServeError::DeadlineExceeded);
         assert_eq!(resp.status, 503);
         assert_eq!(resp.retry_after, Some(1));
-        assert!(resp.body.contains("\"kind\": \"deadline\""), "{}", resp.body);
+        assert!(
+            resp.body.contains("\"kind\": \"deadline\""),
+            "{}",
+            resp.body
+        );
     }
 
     #[test]

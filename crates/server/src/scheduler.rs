@@ -145,9 +145,7 @@ fn publish_outcome(
                 metrics.fallback_fits.fetch_add(1, Ordering::Relaxed);
             }
             let (warm, iterations) = match &fit.posterior {
-                RobustPosterior::Vb2(p) => {
-                    (Some(p.warm_start()), p.inner_iterations() as u64)
-                }
+                RobustPosterior::Vb2(p) => (Some(p.warm_start()), p.inner_iterations() as u64),
                 _ => (None, 0),
             };
             metrics
@@ -596,8 +594,7 @@ mod tests {
         let registry = registry_with_sys17();
         // Three more small projects (cheap grouped fits).
         for id in ["a", "b", "c"] {
-            let config =
-                ProjectConfig::from_labels("grouped", "go", "paper-info-grouped").unwrap();
+            let config = ProjectConfig::from_labels("grouped", "go", "paper-info-grouped").unwrap();
             registry.create(id, config).unwrap();
             let p = registry.get(id).unwrap();
             let mut batch = String::new();
@@ -729,6 +726,10 @@ mod tests {
             }
             other => panic!("expected cached failure, got {other:?}"),
         }
-        assert_eq!(load(&metrics.fits_total), 1, "failure was served from cache");
+        assert_eq!(
+            load(&metrics.fits_total),
+            1,
+            "failure was served from cache"
+        );
     }
 }

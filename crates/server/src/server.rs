@@ -382,12 +382,7 @@ impl WorkQueue {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    state: &AppState,
-    shutdown: &AtomicBool,
-    queue: &WorkQueue,
-) {
+fn accept_loop(listener: &TcpListener, state: &AppState, shutdown: &AtomicBool, queue: &WorkQueue) {
     loop {
         if shutdown.load(Ordering::SeqCst) {
             break;
@@ -459,10 +454,7 @@ fn handle_connection(stream: TcpStream, state: &AppState) {
         }
         Err(err) => (
             None,
-            Response::json(
-                400,
-                format!("{{\"error\": \"malformed request: {err}\"}}"),
-            ),
+            Response::json(400, format!("{{\"error\": \"malformed request: {err}\"}}")),
         ),
     };
     let elapsed = started.elapsed();
@@ -583,10 +575,7 @@ mod tests {
         let registry = Registry::open(Some(&dir)).unwrap();
         let project = registry.get("p").unwrap();
         assert_eq!(project.version(), 1);
-        assert_eq!(
-            registry.stats().snapshots_loaded.load(Ordering::Relaxed),
-            1
-        );
+        assert_eq!(registry.stats().snapshots_loaded.load(Ordering::Relaxed), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

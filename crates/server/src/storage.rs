@@ -414,7 +414,10 @@ impl Storage for MemStorage {
 
     fn remove(&self, name: &str) -> io::Result<()> {
         check_name(name)?;
-        self.files.lock().expect("mem storage poisoned").remove(name);
+        self.files
+            .lock()
+            .expect("mem storage poisoned")
+            .remove(name);
         Ok(())
     }
 }
@@ -505,7 +508,10 @@ impl FaultStorage {
         FaultStorage {
             inner,
             plan,
-            state: Mutex::new(FaultState { ops: 0, dead: false }),
+            state: Mutex::new(FaultState {
+                ops: 0,
+                dead: false,
+            }),
         }
     }
 

@@ -85,10 +85,7 @@ fn assert_prefix_and_continue(storage: Arc<MemStorage>, acknowledged: usize, con
     assert_eq!(summary.event_count, v, "{context}: event count");
     if v >= 1 {
         let t_end = 10.0 * v as f64;
-        assert_eq!(
-            summary.observation_end, t_end,
-            "{context}: observation end"
-        );
+        assert_eq!(summary.observation_end, t_end, "{context}: observation end");
     }
     if v >= 2 {
         // The two newest failure times are exactly the tail of the
@@ -112,7 +109,11 @@ fn assert_prefix_and_continue(storage: Arc<MemStorage>, acknowledged: usize, con
             .ingest(&batch_text(i))
             .unwrap_or_else(|e| panic!("{context}: continued ingest {i} failed: {e}"));
     }
-    assert_eq!(project.version() as usize, BATCHES, "{context}: final version");
+    assert_eq!(
+        project.version() as usize,
+        BATCHES,
+        "{context}: final version"
+    );
 
     // And the continuation itself is durable.
     let reopened = Registry::open_with(storage, DurabilityPolicy::default())

@@ -91,7 +91,10 @@ fn in_control_run() -> (BTreeMap<String, Vec<u8>>, String) {
         ),
     );
     assert_eq!(create.status, 201, "{}", create.body);
-    let ingest = handle(&state, &request("POST", "/projects/p/events", &sys17_batch()));
+    let ingest = handle(
+        &state,
+        &request("POST", "/projects/p/events", &sys17_batch()),
+    );
     assert_eq!(ingest.status, 200, "{}", ingest.body);
     // Catch-up through the chart route: fit once, score every gap.
     let chart = handle(&state, &request("GET", "/projects/p/monitor", ""));
@@ -135,7 +138,11 @@ fn torn_mon_tail_is_truncated_and_rescored() {
     let (state, mem) = boot(short);
     let recovered = mem.dump().get("p.mon").cloned().expect("journal survives");
     assert!(recovered.len() < journal.len());
-    assert_eq!(journal[..recovered.len()], recovered[..], "valid prefix kept");
+    assert_eq!(
+        journal[..recovered.len()],
+        recovered[..],
+        "valid prefix kept"
+    );
     let monitor = state.monitor.clone().expect("monitor enabled");
     let before = monitor.snapshot("p");
     assert_eq!(before.scored_through, 37, "last point lost with the tear");
@@ -160,7 +167,10 @@ fn chart_journal_ahead_of_data_log_replays_to_acknowledged_prefix() {
     // scored inline rather than deferred.
     let chart = handle(&state, &request("GET", "/projects/p/monitor", ""));
     assert_eq!(chart.status, 200, "{}", chart.body);
-    let ingest = handle(&state, &request("POST", "/projects/p/events", &burst_batch()));
+    let ingest = handle(
+        &state,
+        &request("POST", "/projects/p/events", &burst_batch()),
+    );
     assert_eq!(ingest.status, 200, "{}", ingest.body);
     assert!(ingest.body.contains("\"alerts\": 2"), "{}", ingest.body);
     let after_burst = mem.dump();
@@ -192,7 +202,10 @@ fn chart_journal_ahead_of_data_log_replays_to_acknowledged_prefix() {
     // alerts bitwise: same data, same fit, same scores.
     let chart = handle(&state, &request("GET", "/projects/p/monitor", ""));
     assert_eq!(chart.status, 200, "{}", chart.body);
-    let ingest = handle(&state, &request("POST", "/projects/p/events", &burst_batch()));
+    let ingest = handle(
+        &state,
+        &request("POST", "/projects/p/events", &burst_batch()),
+    );
     assert_eq!(ingest.status, 200, "{}", ingest.body);
     assert!(ingest.body.contains("\"alerts\": 2"), "{}", ingest.body);
     assert_eq!(

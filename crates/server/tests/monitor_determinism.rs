@@ -91,7 +91,10 @@ fn run(lanes: SimdPolicy, threads: usize) -> (Vec<u8>, u64, String) {
     );
     assert_eq!(create.status, 201, "{}", create.body);
     // Deferred: no posterior exists yet.
-    let ingest = handle(&state, &request("POST", "/projects/p/events", &sys17_batch()));
+    let ingest = handle(
+        &state,
+        &request("POST", "/projects/p/events", &sys17_batch()),
+    );
     assert_eq!(ingest.status, 200, "{}", ingest.body);
     assert!(ingest.body.contains("\"alerts\": 0"), "{}", ingest.body);
     // Catch-up: one fit, every gap scored.
@@ -99,7 +102,10 @@ fn run(lanes: SimdPolicy, threads: usize) -> (Vec<u8>, u64, String) {
     assert_eq!(chart.status, 200, "{}", chart.body);
     // Regime shift: scored inline against the cached fit, alerts fire,
     // and the alerts trigger a refit at the new data version.
-    let ingest = handle(&state, &request("POST", "/projects/p/events", &burst_batch()));
+    let ingest = handle(
+        &state,
+        &request("POST", "/projects/p/events", &burst_batch()),
+    );
     assert_eq!(ingest.status, 200, "{}", ingest.body);
     assert!(
         ingest.body.contains("\"alerts\": 2"),
@@ -127,10 +133,7 @@ fn chart_journals_are_bitwise_identical_across_thread_counts() {
             body.contains(&format!("\"lane_width\": {width}")),
             "{lanes:?}: recorded lane width should be {width}: {body}"
         );
-        assert!(
-            body.contains("\"scored_through\": 43"),
-            "{lanes:?}: {body}"
-        );
+        assert!(body.contains("\"scored_through\": 43"), "{lanes:?}: {body}");
         for threads in [2usize, 8] {
             let (journal, alerts, other_body) = run(lanes, threads);
             assert_eq!(alerts, 2, "{lanes:?} x{threads}");

@@ -48,10 +48,6 @@ pub use incgamma::{
     ln_gamma_pq_given, ln_gamma_q, ln_gamma_q_given, EULER_GAMMA,
 };
 pub use logsumexp::{log_diff_exp, log_sum_exp, log_sum_exp_pair, StreamingLogSumExp};
-pub use recurrence::{
-    ln_gamma_p_step, ln_gamma_q_step, LnGammaLadder, REANCHOR_PERIOD,
-};
 pub use normal::{norm_cdf, norm_ln_pdf, norm_pdf, norm_ppf, norm_sf};
-pub use wide::{
-    active_simd, exp_lane, ln_gamma_q_step_lane, SimdDispatch, SimdPolicy, WIDE_LANES,
-};
+pub use recurrence::{ln_gamma_p_step, ln_gamma_q_step, LnGammaLadder, REANCHOR_PERIOD};
+pub use wide::{active_simd, exp_lane, ln_gamma_q_step_lane, SimdDispatch, SimdPolicy, WIDE_LANES};

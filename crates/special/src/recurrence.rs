@@ -188,8 +188,7 @@ mod tests {
         for &a in &[0.5, 1.0, 2.0, 30.0, 500.0] {
             for &frac in &[0.05, 0.5, 1.0, 1.8, 5.0] {
                 let x = a * frac;
-                let stepped =
-                    ln_gamma_q_step(a, x, x.ln(), ln_gamma_q(a, x), ln_gamma(a + 1.0));
+                let stepped = ln_gamma_q_step(a, x, x.ln(), ln_gamma_q(a, x), ln_gamma(a + 1.0));
                 // The increment a·ln x − x − ln Γ(a+1) cancels terms of
                 // magnitude ~a·ln a, so a few hundred ulps of absolute
                 // error are inherent at large shapes; 1e-12 is the bound
@@ -206,8 +205,7 @@ mod tests {
         for &a in &[0.5, 1.0, 2.0, 30.0, 500.0, 5000.0] {
             for &frac in &[1e-3, 0.05, 0.5, 1.0, 1.8, 5.0] {
                 let x = a * frac;
-                let stepped =
-                    ln_gamma_p_step(a, x, x.ln(), ln_gamma_p(a, x), ln_gamma(a + 1.0));
+                let stepped = ln_gamma_p_step(a, x, x.ln(), ln_gamma_p(a, x), ln_gamma(a + 1.0));
                 assert_close(stepped, ln_gamma_p(a + 1.0, x), 1e-12);
             }
         }

@@ -208,7 +208,11 @@ mod tests {
             } else {
                 // A couple of ulps in the bulk; the two-factor 2^k
                 // scaling near the underflow boundary costs a few more.
-                let bound = if x.abs() > 700.0 { 1e-14 } else { 4.0 * f64::EPSILON };
+                let bound = if x.abs() > 700.0 {
+                    1e-14
+                } else {
+                    4.0 * f64::EPSILON
+                };
                 let rel = ((got - want) / want).abs();
                 assert!(rel <= bound, "x={x}: got={got}, want={want}");
             }
@@ -227,7 +231,10 @@ mod tests {
         let x = -730.0;
         let got = exp_lane(x);
         let want = x.exp();
-        assert!(got > 0.0 && (got / want - 1.0).abs() < 1e-9, "{got} vs {want}");
+        assert!(
+            got > 0.0 && (got / want - 1.0).abs() < 1e-9,
+            "{got} vs {want}"
+        );
     }
 
     #[test]

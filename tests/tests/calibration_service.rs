@@ -35,10 +35,7 @@ fn test_dictionary() -> CalibrationDictionary {
 }
 
 fn write_dictionary(tag: &str, dict: &CalibrationDictionary) -> PathBuf {
-    let path = std::env::temp_dir().join(format!(
-        "nhpp_cal_e2e_{tag}_{}.json",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("nhpp_cal_e2e_{tag}_{}.json", std::process::id()));
     std::fs::write(&path, dict.to_json()).unwrap();
     path
 }
@@ -137,7 +134,10 @@ fn calibrated_routes_widen_and_echo_provenance() {
 
     // Band: every point's envelope widens about its mean.
     let (_, raw_band) = get_json(&addr, "/projects/p/band?points=5&level=0.99");
-    let (_, cal_band) = get_json(&addr, "/projects/p/band?points=5&level=0.99&calibrated=true");
+    let (_, cal_band) = get_json(
+        &addr,
+        "/projects/p/band?points=5&level=0.99&calibrated=true",
+    );
     assert!(bool_field(&cal_band, "calibrated"));
     let rows = |v: &Value| -> Vec<(f64, f64)> {
         v.as_object()
@@ -149,8 +149,14 @@ fn calibrated_routes_widen_and_echo_provenance() {
             .collect()
     };
     for ((raw_lo, raw_hi), (cal_lo, cal_hi)) in rows(&raw_band).iter().zip(rows(&cal_band)) {
-        assert!(cal_lo <= *raw_lo && cal_hi >= *raw_hi, "band point narrowed");
-        assert!(cal_hi - cal_lo > raw_hi - raw_lo, "band point did not widen");
+        assert!(
+            cal_lo <= *raw_lo && cal_hi >= *raw_hi,
+            "band point narrowed"
+        );
+        assert!(
+            cal_hi - cal_lo > raw_hi - raw_lo,
+            "band point did not widen"
+        );
     }
 
     // SPC: the calibrated statistic contracts toward the centre line
@@ -176,10 +182,7 @@ fn calibrated_routes_widen_and_echo_provenance() {
         metrics.contains("nhpp_serve_calibration_loaded 1"),
         "{metrics}"
     );
-    assert!(
-        metrics.contains("dictionary=\"CAL_E2E_TEST\""),
-        "{metrics}"
-    );
+    assert!(metrics.contains("dictionary=\"CAL_E2E_TEST\""), "{metrics}");
 
     std::fs::remove_file(path).ok();
     handle.shutdown();
@@ -235,10 +238,8 @@ fn unhonourable_calibration_requests_are_refused_with_400() {
 
 #[test]
 fn corrupt_dictionary_fails_boot_not_first_query() {
-    let path = std::env::temp_dir().join(format!(
-        "nhpp_cal_e2e_corrupt_{}.json",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("nhpp_cal_e2e_corrupt_{}.json", std::process::id()));
     std::fs::write(&path, "{\"schema\": \"wrong/v0\"}").unwrap();
     let err = Server::spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),

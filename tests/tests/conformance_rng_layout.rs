@@ -98,6 +98,9 @@ fn learner_and_validator_base_seeds_are_disjoint() {
     assert_ne!(learn, validate);
     // And the XOR'd per-cell seeds stay distinct too.
     for cell in GridCell::grid() {
-        assert_ne!(learn ^ cell.seed_component(), validate ^ cell.seed_component());
+        assert_ne!(
+            learn ^ cell.seed_component(),
+            validate ^ cell.seed_component()
+        );
     }
 }

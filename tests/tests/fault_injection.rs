@@ -11,8 +11,7 @@ use nhpp_data::sys17;
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_vb::{
-    fit_supervised, FaultKind, FaultPlan, RobustFit, RobustOptions, Truncation, Vb2Options,
-    VbError,
+    fit_supervised, FaultKind, FaultPlan, RobustFit, RobustOptions, Truncation, Vb2Options, VbError,
 };
 use std::time::Duration;
 
@@ -281,9 +280,8 @@ fn capped_posterior_matches_clean_fit_closely() {
         },
     )
     .unwrap();
-    let rel =
-        (clean.posterior.mean_omega() - degraded.posterior.mean_omega()).abs()
-            / clean.posterior.mean_omega();
+    let rel = (clean.posterior.mean_omega() - degraded.posterior.mean_omega()).abs()
+        / clean.posterior.mean_omega();
     assert!(rel < 0.02, "relative mean gap {rel}");
 }
 

@@ -15,7 +15,7 @@ fn io_rejects_empty_and_garbage_inputs() {
     assert!(io::read_grouped("".as_bytes()).is_err()); // no intervals
     assert!(io::read_failure_times("# t_end=abc\n".as_bytes()).is_err());
     assert!(io::read_grouped("1.0,-3\n".as_bytes()).is_err()); // negative count
-    // Header only: zero failures is a *valid* dataset.
+                                                               // Header only: zero failures is a *valid* dataset.
     let empty = io::read_failure_times("# t_end=10\n".as_bytes()).unwrap();
     assert!(empty.is_empty());
 }
@@ -59,8 +59,13 @@ fn large_counts_exercise_the_factorial_fallback() {
         nhpp_dist::Gamma::from_mean_sd(1300.0, 650.0).unwrap(),
         nhpp_dist::Gamma::from_mean_sd(0.3, 0.15).unwrap(),
     );
-    let post =
-        Vb2Posterior::fit(ModelSpec::goel_okumoto(), prior, &data, Vb2Options::default()).unwrap();
+    let post = Vb2Posterior::fit(
+        ModelSpec::goel_okumoto(),
+        prior,
+        &data,
+        Vb2Options::default(),
+    )
+    .unwrap();
     assert!(post.mean_omega() > 1210.0, "{}", post.mean_omega()); // 1210 observed
     assert!(post.mean_omega().is_finite() && post.var_omega().is_finite());
     let total: f64 = post.pv_n().iter().map(|&(_, w)| w).sum();
@@ -77,8 +82,13 @@ fn near_boundary_failure_times_are_handled() {
         nhpp_dist::Gamma::from_mean_sd(5.0, 5.0).unwrap(),
         nhpp_dist::Gamma::from_mean_sd(0.01, 0.01).unwrap(),
     );
-    let post =
-        Vb2Posterior::fit(ModelSpec::goel_okumoto(), prior, &data, Vb2Options::default()).unwrap();
+    let post = Vb2Posterior::fit(
+        ModelSpec::goel_okumoto(),
+        prior,
+        &data,
+        Vb2Options::default(),
+    )
+    .unwrap();
     assert!(post.mean_omega().is_finite());
     assert!(post.mean_beta() > 0.0);
 }
@@ -90,8 +100,13 @@ fn single_failure_dataset_fits() {
         nhpp_dist::Gamma::from_mean_sd(3.0, 3.0).unwrap(),
         nhpp_dist::Gamma::from_mean_sd(0.02, 0.02).unwrap(),
     );
-    let post =
-        Vb2Posterior::fit(ModelSpec::goel_okumoto(), prior, &data, Vb2Options::default()).unwrap();
+    let post = Vb2Posterior::fit(
+        ModelSpec::goel_okumoto(),
+        prior,
+        &data,
+        Vb2Options::default(),
+    )
+    .unwrap();
     let (lo, hi) = post.credible_interval_omega(0.95);
     assert!(lo < hi && lo >= 0.0);
     assert!(post.mean_n() >= 1.0);
@@ -123,16 +138,24 @@ fn extreme_time_scales_are_stable() {
     // Nanosecond-scale clocks (huge times, tiny rates) and year-scale
     // clocks (tiny times) must both work thanks to log-space evaluation.
     for scale in [1e-3, 1.0, 1e9] {
-        let times: Vec<f64> = nhpp_data::sys17::FAILURE_TIMES.iter().map(|&t| t * scale).collect();
-        let data: ObservedData =
-            FailureTimeData::new(times, nhpp_data::sys17::T_END * scale).unwrap().into();
+        let times: Vec<f64> = nhpp_data::sys17::FAILURE_TIMES
+            .iter()
+            .map(|&t| t * scale)
+            .collect();
+        let data: ObservedData = FailureTimeData::new(times, nhpp_data::sys17::T_END * scale)
+            .unwrap()
+            .into();
         let prior = NhppPrior::informative(
             nhpp_dist::Gamma::new(10.0, 0.2).unwrap(),
             nhpp_dist::Gamma::from_mean_sd(1e-5 / scale, 3.2e-6 / scale).unwrap(),
         );
-        let post =
-            Vb2Posterior::fit(ModelSpec::goel_okumoto(), prior, &data, Vb2Options::default())
-                .unwrap();
+        let post = Vb2Posterior::fit(
+            ModelSpec::goel_okumoto(),
+            prior,
+            &data,
+            Vb2Options::default(),
+        )
+        .unwrap();
         // Scale-invariance: ω estimates must agree across clock units.
         assert!(
             (post.mean_omega() - 43.66).abs() < 0.1,

@@ -27,10 +27,7 @@ fn log_sum_exp_pair_of_two_infinities_is_infinity() {
     // One-sided infinities and the batch evaluator agree.
     assert_eq!(log_sum_exp_pair(f64::INFINITY, 0.0), f64::INFINITY);
     assert_eq!(log_sum_exp_pair(-1.0, f64::INFINITY), f64::INFINITY);
-    assert_eq!(
-        log_sum_exp(&[f64::INFINITY, f64::INFINITY]),
-        f64::INFINITY
-    );
+    assert_eq!(log_sum_exp(&[f64::INFINITY, f64::INFINITY]), f64::INFINITY);
     // NaN still dominates an infinity: propagation beats saturation.
     assert!(log_sum_exp_pair(f64::NAN, f64::INFINITY).is_nan());
 }
@@ -169,7 +166,10 @@ fn ln_factorial_table_edge_hands_off_to_ln_gamma_smoothly() {
     for n in [1023u64, 1024, 1025] {
         let lhs = ln_factorial(n + 1);
         let rhs = ln_factorial(n) + ((n + 1) as f64).ln();
-        assert!((lhs - rhs).abs() < 1e-10, "seam recurrence broke at n = {n}");
+        assert!(
+            (lhs - rhs).abs() < 1e-10,
+            "seam recurrence broke at n = {n}"
+        );
     }
     // And the bottom of the table is still exact.
     assert_eq!(ln_factorial(0), 0.0);

@@ -67,7 +67,9 @@ fn simulated_times(seed: u64, omega: f64, beta: f64) -> ObservedData {
     let law = spec.failure_law(beta).expect("valid beta");
     let sim = NhppSimulator::new(omega, law).expect("valid omega");
     let mut rng = StdRng::seed_from_u64(seed);
-    sim.simulate_censored(&mut rng, 2e5).expect("simulation").into()
+    sim.simulate_censored(&mut rng, 2e5)
+        .expect("simulation")
+        .into()
 }
 
 /// A random grouped trace over unit-width bins.
@@ -461,8 +463,7 @@ fn recorded_lane_width_reproduces_the_run_bitwise() {
     assert!(data.total_count() >= 3, "seed 41 yields enough events");
     let spec = ModelSpec::goel_okumoto();
     let prior = NhppPrior::paper_info_times();
-    let auto =
-        Vb2Posterior::fit(spec, prior, &data, lane_options(SimdPolicy::Auto, 2)).unwrap();
+    let auto = Vb2Posterior::fit(spec, prior, &data, lane_options(SimdPolicy::Auto, 2)).unwrap();
     let forced = match auto.lane_width() {
         1 => SimdPolicy::ForceScalar,
         WIDE_LANES => SimdPolicy::ForceWide,
