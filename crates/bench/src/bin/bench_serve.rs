@@ -45,7 +45,7 @@
 //!   append path, not project-lock contention, is what's measured);
 //! * `serve-alert-append-ms` — median latency of the append that
 //!   carries a regime-shift burst: chart scoring, alert publication,
-//!   the alert journal write and the triggered refit all land inside
+//!   the alert-record append and the triggered refit all land inside
 //!   this request;
 //! * `serve-alert-wake-ms` — median delay from that append to a
 //!   blocked `/monitor/wait` long-poll returning the alert.
@@ -437,8 +437,9 @@ fn ingest_main(out_path: &str, label: String, quick: bool) -> ExitCode {
 
     // --- Alert path: each round seeds a fresh project, then appends a
     // burst of implausibly tight gaps. The append carries scoring,
-    // alert publication, journalling and the triggered refit; a
-    // long-poll subscriber blocked on /monitor/wait measures the wake.
+    // alert publication, the chart-record appends and the triggered
+    // refit; a long-poll subscriber blocked on /monitor/wait measures
+    // the wake.
     let total_alerts = |addr: &str| -> u64 {
         let body = must_ok(addr, "GET", "/monitor/status", None);
         let value = json::parse(&body).expect("status parses");

@@ -67,8 +67,8 @@ pub struct Metrics {
     /// Ingests whose chart scoring was deferred for lack of a cached
     /// posterior (scored on the next fit-bearing query).
     pub monitor_deferred: AtomicU64,
-    /// Chart-journal writes that failed (state stays in memory; the
-    /// points are rescored after the next recovery).
+    /// Chart-record appends to a project log that failed (the chart
+    /// keeps serving from memory).
     pub monitor_persist_errors: AtomicU64,
     /// Long-poll waits answered with at least one alert.
     pub monitor_wait_delivered: AtomicU64,

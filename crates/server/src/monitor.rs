@@ -31,20 +31,21 @@
 //! Chart statistics are pure functions of `(posterior, t, τ)`, so for a
 //! fixed SIMD dispatch the chart state is bitwise identical across
 //! server thread counts (the posterior already is, per DESIGN §14).
-//! Points and alerts are journalled to `<id>.mon` through the same
-//! [`Storage`] backend as the project logs, as CRC-framed text records
-//! whose floats round-trip bitwise through `f64` `Display`. Recovery
-//! scans the journal, truncates a torn or corrupt suffix, and drops any
-//! record whose event index exceeds the acknowledged-ingest prefix the
-//! registry itself recovered — the chart can never claim an event the
-//! data log lost. Dropped or never-persisted points are simply rescored
-//! on the next observation, which the determinism contract makes safe.
+//! Points and alerts are chart records of the project's own log
+//! ([`Project::append_chart`]): text bodies whose floats round-trip
+//! bitwise through `f64` `Display`, under the same framing, fsync and
+//! rollback as the batches they score. A scoring pass appends its
+//! points before it releases the chart lock, so the log holds them in
+//! scoring order, after the batches they score. Recovery folds the
+//! chart records of each replayed log and writes nothing. Points a
+//! crash cut from the end of the log are scored again by the next
+//! scoring pass.
 
 use crate::metrics::Metrics;
-use crate::registry::{Project, Registry};
+use crate::registry::{Project, Registry, ALERT, POINT};
 use crate::scheduler::{cached_fit, ensure_fit, CachedFit, FitServeError};
 use crate::server::AppState;
-use crate::storage::{frame_record, scan_records, Storage};
+use crate::storage::Storage;
 use nhpp_models::spc::{
     classify, mmle_statistic, ordered_statistic, ChartScheme, ChartStatus, RunTracker,
 };
@@ -57,7 +58,7 @@ use std::time::{Duration, Instant};
 
 /// Which chart scheme(s) may raise alerts. Both statistics are always
 /// computed and persisted — the selection gates alerting only, so
-/// switching schemes later never invalidates a journal.
+/// switching schemes later never invalidates a chart record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchemeSelect {
     /// Ordered-statistics alerts only.
@@ -205,13 +206,6 @@ struct ChartState {
     tail: VecDeque<ChartPoint>,
 }
 
-/// One project's chart.
-#[derive(Debug)]
-struct ProjectChart {
-    mon_name: String,
-    state: Mutex<ChartState>,
-}
-
 /// A consistent copy of one chart, for serialisation.
 #[derive(Debug, Clone)]
 pub struct ChartSnapshot {
@@ -245,18 +239,17 @@ struct AlertLog {
 #[derive(Debug)]
 pub struct Monitor {
     config: MonitorConfig,
-    storage: Option<Arc<dyn Storage>>,
-    charts: Mutex<BTreeMap<String, Arc<ProjectChart>>>,
+    charts: Mutex<BTreeMap<String, Arc<Mutex<ChartState>>>>,
     alerts: Mutex<AlertLog>,
     alert_ready: Condvar,
 }
 
 impl Monitor {
-    /// A fresh monitor over an optional journal backend.
-    pub fn new(config: MonitorConfig, storage: Option<Arc<dyn Storage>>) -> Monitor {
+    /// A fresh monitor. `_storage` is not read (chart records go to each
+    /// project's own log); callers may still pass the registry's backend.
+    pub fn new(config: MonitorConfig, _storage: Option<Arc<dyn Storage>>) -> Monitor {
         Monitor {
             config,
-            storage,
             charts: Mutex::new(BTreeMap::new()),
             alerts: Mutex::new(AlertLog {
                 next_seq: 1,
@@ -271,77 +264,44 @@ impl Monitor {
         &self.config
     }
 
-    /// Rebuilds charts from the `<id>.mon` journals next to the
-    /// registry's project logs. A torn or corrupt journal suffix is
-    /// truncated; any record claiming an event index beyond the
-    /// project's recovered (acknowledged) prefix is dropped and the
-    /// journal rewritten — the chart replays to exactly the data the
-    /// registry itself recovered. Alert sequence numbering resumes
-    /// after the highest recovered sequence.
+    /// Rebuilds charts from the chart records of the registry's
+    /// replayed project logs, in log order; replay has already cut any
+    /// torn tail, and recovery writes nothing. Alert sequence numbering
+    /// resumes after the highest recovered sequence.
     ///
     /// # Errors
     ///
-    /// The underlying storage error; corrupt *contents* never fail the
-    /// boot, only unreadable storage does.
+    /// A log that cannot be read back; a chart record that does not
+    /// decode is skipped, never fails the boot.
     pub fn recover(config: MonitorConfig, registry: &Registry) -> io::Result<Monitor> {
-        let storage = registry.storage_handle();
-        let monitor = Monitor::new(config, storage.clone());
-        let Some(storage) = storage else {
-            return Ok(monitor);
-        };
+        let monitor = Monitor::new(config, None);
         let mut recovered_alerts: Vec<Alert> = Vec::new();
         for project in registry.all() {
             let id = project.id();
-            let mon_name = format!("{id}.mon");
-            let Some(bytes) = storage.read(&mon_name)? else {
-                continue;
-            };
-            let scan = scan_records(&bytes);
-            if scan.stop.is_some() {
-                storage.truncate(&mon_name, scan.valid_len)?;
-            }
             let event_count = project.summary().event_count;
-            let mut kept: Vec<u8> = Vec::new();
-            let mut dropped = false;
             let mut points: Vec<ChartPoint> = Vec::new();
-            for (tag, body) in &scan.records {
-                let keep = match tag {
-                    b'P' => match decode_point(body) {
-                        Ok(point) if point.index <= event_count => {
-                            points.push(point);
-                            true
-                        }
-                        _ => false,
-                    },
-                    b'A' => match decode_alert(body, id) {
-                        Ok(alert) if alert.index <= event_count => {
-                            recovered_alerts.push(alert);
-                            true
-                        }
-                        _ => false,
-                    },
-                    _ => false,
-                };
-                if keep {
-                    kept.extend_from_slice(&frame_record(*tag, body));
+            // A record beyond the recovered events is skipped: a corrupt
+            // snapshot in front of a compacted log recovers fewer events
+            // than the chart records it kept.
+            for (tag, body) in project.chart_records().map_err(io::Error::other)? {
+                if tag == POINT {
+                    points.extend(decode_point(&body).ok().filter(|p| p.index <= event_count));
                 } else {
-                    dropped = true;
+                    let alert = decode_alert(&body, id).ok();
+                    recovered_alerts.extend(alert.filter(|a| a.index <= event_count));
                 }
-            }
-            if dropped {
-                storage.replace(&mon_name, &kept)?;
             }
             if points.is_empty() {
                 continue;
             }
             let chart = monitor.chart_for(id);
-            let mut state = chart.state.lock().expect("chart state poisoned");
+            let mut state = chart.lock().expect("chart state poisoned");
             for point in &points {
                 state.counts_os[point.status_os.index()] += 1;
                 state.counts_mmle[point.status_mmle.index()] += 1;
                 // Rebuild the run trackers by re-observing; fires are
-                // discarded — those alerts were published (and journalled)
-                // before the crash.
+                // discarded — those alerts were published (and logged)
+                // before the restart.
                 state.run_os.observe(point.status_os, config.run_length);
                 state.run_mmle.observe(point.status_mmle, config.run_length);
                 state.scored_through = state.scored_through.max(point.index);
@@ -363,24 +323,16 @@ impl Monitor {
         Ok(monitor)
     }
 
-    fn chart_for(&self, id: &str) -> Arc<ProjectChart> {
+    fn chart_for(&self, id: &str) -> Arc<Mutex<ChartState>> {
         let mut charts = self.charts.lock().expect("chart map poisoned");
-        charts
-            .entry(id.to_string())
-            .or_insert_with(|| {
-                Arc::new(ProjectChart {
-                    mon_name: format!("{id}.mon"),
-                    state: Mutex::new(ChartState::default()),
-                })
-            })
-            .clone()
+        charts.entry(id.to_string()).or_default().clone()
     }
 
     /// A consistent copy of one project's chart (a fresh empty chart
     /// for a project never scored).
     pub fn snapshot(&self, id: &str) -> ChartSnapshot {
         let chart = self.chart_for(id);
-        let state = chart.state.lock().expect("chart state poisoned");
+        let state = chart.lock().expect("chart state poisoned");
         ChartSnapshot {
             scored_through: state.scored_through,
             counts_os: state.counts_os,
@@ -446,9 +398,9 @@ impl Monitor {
     }
 
     /// Scores every not-yet-charted gap of `project` against `cached`,
-    /// journalling the new points. Returns the change-point alerts the
-    /// new points fired (run thresholds of active schemes), not yet
-    /// sequenced or published.
+    /// logging the new points under the chart lock. Returns the
+    /// change-point alerts the new points fired (run thresholds of
+    /// active schemes), not yet sequenced or published.
     fn score(
         &self,
         project: &Project,
@@ -457,7 +409,7 @@ impl Monitor {
         metrics: &Metrics,
     ) -> Vec<PendingAlert> {
         let chart = self.chart_for(project.id());
-        let mut state = chart.state.lock().expect("chart state poisoned");
+        let mut state = chart.lock().expect("chart state poisoned");
         // The suffix starts one event *before* the first unscored one:
         // that event's time is the left edge of the first new gap.
         let from = (state.scored_through as usize).saturating_sub(1);
@@ -472,7 +424,7 @@ impl Monitor {
         let lane_width = cached.fit.report.lane_width as u64;
         let run_length = self.config.run_length;
         let mut pending = Vec::new();
-        let mut journal: Vec<u8> = Vec::new();
+        let mut records: Vec<Vec<u8>> = Vec::new();
         let mut scored = 0u64;
         let mut out_of_control = 0u64;
         for (j, pair) in suffix.windows(2).enumerate() {
@@ -524,7 +476,7 @@ impl Monitor {
                     }
                 }
             }
-            journal.extend_from_slice(&frame_record(b'P', &encode_point(&point)));
+            records.push(encode_point(&point));
             state.tail.push_back(point.clone());
             while state.tail.len() > self.config.tail {
                 state.tail.pop_front();
@@ -538,38 +490,24 @@ impl Monitor {
             .monitor_out_of_control
             .fetch_add(out_of_control, Ordering::Relaxed);
         state.scored_through = total;
-        let mon_name = chart.mon_name.clone();
-        drop(state);
-        if let Some(storage) = &self.storage {
-            // One batched append per scoring pass. A failure leaves the
-            // points in memory only; they are rescored (bitwise, per the
-            // determinism contract) after the next recovery.
-            if !journal.is_empty() && storage.append(&mon_name, &journal).is_err() {
-                metrics
-                    .monitor_persist_errors
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        // One append per scoring pass, under the chart lock, so the log
+        // holds the points in scoring order.
+        persist(project, POINT, &records, metrics);
         pending
     }
 
-    /// Sequences, journals, and publishes alerts, waking long-polls.
-    /// Returns the number published.
+    /// Sequences and publishes alerts, waking long-polls. Returns their
+    /// chart records, for the caller to append to the project log.
     fn publish(
         &self,
         project_id: &str,
         pending: Vec<PendingAlert>,
         refit_version: Option<u64>,
         metrics: &Metrics,
-    ) -> u64 {
-        if pending.is_empty() {
-            return 0;
-        }
-        let mut journal: Vec<u8> = Vec::new();
-        let published;
+    ) -> Vec<Vec<u8>> {
+        let mut records = Vec::with_capacity(pending.len());
         {
             let mut log = self.alerts.lock().expect("alert log poisoned");
-            published = pending.len() as u64;
             for p in pending {
                 let alert = Alert {
                     seq: log.next_seq,
@@ -584,7 +522,7 @@ impl Monitor {
                     refit_version,
                 };
                 log.next_seq += 1;
-                journal.extend_from_slice(&frame_record(b'A', &encode_alert(&alert)));
+                records.push(encode_alert(&alert));
                 log.ring.push_back(alert);
                 while log.ring.len() > self.config.alert_capacity {
                     log.ring.pop_front();
@@ -592,20 +530,20 @@ impl Monitor {
             }
         }
         self.alert_ready.notify_all();
-        if let Some(storage) = &self.storage {
-            if storage
-                .append(&format!("{project_id}.mon"), &journal)
-                .is_err()
-            {
-                metrics
-                    .monitor_persist_errors
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
         metrics
             .monitor_alerts
-            .fetch_add(published, Ordering::Relaxed);
-        published
+            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        records
+    }
+}
+
+/// Appends chart records to the project log. A failure is counted, and
+/// the chart keeps them in memory only.
+fn persist(project: &Project, tag: u8, records: &[Vec<u8>], metrics: &Metrics) {
+    if project.append_chart(tag, records).is_err() {
+        metrics
+            .monitor_persist_errors
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -698,14 +636,15 @@ fn score_and_alert(
         }
         Err(_) => None,
     };
-    monitor.publish(project.id(), pending, refit_version, &state.metrics)
+    let records = monitor.publish(project.id(), pending, refit_version, &state.metrics);
+    persist(project, ALERT, &records, &state.metrics);
+    records.len() as u64
 }
 
 // ---------------------------------------------------------------------
-// Journal record codecs ('P' chart point, 'A' alert). Text bodies,
-// space-separated; floats use `f64` `Display` (shortest round-trip, so
-// a decoded record is bit-identical to the state that wrote it, NaN
-// included).
+// Chart record codecs (point, alert). Text bodies, space-separated;
+// floats use `f64` `Display` (shortest round-trip, so a decoded record
+// is bit-identical to the state that wrote it, NaN included).
 // ---------------------------------------------------------------------
 
 fn encode_point(p: &ChartPoint) -> Vec<u8> {
@@ -724,27 +663,26 @@ fn encode_point(p: &ChartPoint) -> Vec<u8> {
     .into_bytes()
 }
 
+/// Parses one space-separated field of a chart record body.
+fn field<T: std::str::FromStr>(token: Option<&str>) -> Result<T, String> {
+    let token = token.ok_or("short chart record")?;
+    token.parse().map_err(|_| format!("bad field '{token}'"))
+}
+
 fn decode_point(body: &[u8]) -> Result<ChartPoint, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "non-UTF-8 point record".to_string())?;
-    let mut it = text.split(' ');
-    let mut next = || it.next().ok_or_else(|| "short point record".to_string());
-    let parse_u64 =
-        |tok: &str| -> Result<u64, String> { tok.parse().map_err(|_| format!("bad int '{tok}'")) };
-    let parse_f64 = |tok: &str| -> Result<f64, String> {
-        tok.parse().map_err(|_| format!("bad float '{tok}'"))
-    };
-    let point = ChartPoint {
-        index: parse_u64(next()?)?,
-        fit_version: parse_u64(next()?)?,
-        lane_width: parse_u64(next()?)?,
-        t_prev: parse_f64(next()?)?,
-        t: parse_f64(next()?)?,
-        p_os: parse_f64(next()?)?,
-        p_mmle: parse_f64(next()?)?,
-        status_os: ChartStatus::parse(next()?)?,
-        status_mmle: ChartStatus::parse(next()?)?,
-    };
-    Ok(point)
+    let text = std::str::from_utf8(body).map_err(|_| "non-UTF-8 point record")?;
+    let mut f = text.split(' ');
+    Ok(ChartPoint {
+        index: field(f.next())?,
+        fit_version: field(f.next())?,
+        lane_width: field(f.next())?,
+        t_prev: field(f.next())?,
+        t: field(f.next())?,
+        p_os: field(f.next())?,
+        p_mmle: field(f.next())?,
+        status_os: ChartStatus::parse(f.next().unwrap_or_default())?,
+        status_mmle: ChartStatus::parse(f.next().unwrap_or_default())?,
+    })
 }
 
 fn encode_alert(a: &Alert) -> Vec<u8> {
@@ -767,27 +705,23 @@ fn encode_alert(a: &Alert) -> Vec<u8> {
 }
 
 fn decode_alert(body: &[u8], project: &str) -> Result<Alert, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "non-UTF-8 alert record".to_string())?;
-    let mut it = text.split(' ');
-    let mut next = || it.next().ok_or_else(|| "short alert record".to_string());
-    let parse_u64 =
-        |tok: &str| -> Result<u64, String> { tok.parse().map_err(|_| format!("bad int '{tok}'")) };
-    let alert = Alert {
-        seq: parse_u64(next()?)?,
+    let text = std::str::from_utf8(body).map_err(|_| "non-UTF-8 alert record")?;
+    let mut f = text.split(' ');
+    Ok(Alert {
+        seq: field(f.next())?,
         project: project.to_string(),
-        scheme: ChartScheme::parse(next()?)?,
-        side: ChartStatus::parse(next()?)?,
-        run: next()?.parse().map_err(|_| "bad run length".to_string())?,
-        index: parse_u64(next()?)?,
-        t: next()?.parse().map_err(|_| "bad time".to_string())?,
-        p: next()?.parse().map_err(|_| "bad statistic".to_string())?,
-        fit_version: parse_u64(next()?)?,
-        refit_version: match next()? {
-            "-" => None,
-            tok => Some(parse_u64(tok)?),
+        scheme: ChartScheme::parse(f.next().unwrap_or_default())?,
+        side: ChartStatus::parse(f.next().unwrap_or_default())?,
+        run: field(f.next())?,
+        index: field(f.next())?,
+        t: field(f.next())?,
+        p: field(f.next())?,
+        fit_version: field(f.next())?,
+        refit_version: match f.next() {
+            Some("-") => None,
+            token => Some(field(token)?),
         },
-    };
-    Ok(alert)
+    })
 }
 
 #[cfg(test)]

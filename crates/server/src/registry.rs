@@ -14,12 +14,14 @@
 //! Each project owns one append-only log `<id>.log` of CRC-framed
 //! records (see [`crate::storage`]): a config record (`C`, body
 //! `kind model prior`) followed by batch records (`B`, body
-//! `<seq>\n<csv>` where `seq` is the data version the batch produces).
+//! `<seq>\n<csv>` where `seq` is the data version the batch produces)
+//! and [`crate::monitor`]'s chart records ([`POINT`], [`ALERT`]).
 //! Periodically — every [`DurabilityPolicy::snapshot_every`] versions —
 //! the full project state is atomically written to `<id>.snap` as one
-//! framed `S` record; when the log outgrows
+//! framed `S` record; when the batches in the log outgrow
 //! [`DurabilityPolicy::compact_at_bytes`] it is compacted: snapshot
-//! first, then the log is atomically replaced by its `C` record alone.
+//! first, then the log is atomically replaced by its `C` record and
+//! its chart records: compaction drops only the covered batches.
 //!
 //! Startup replays snapshot-plus-log: a valid snapshot seeds the state
 //! and every batch record with `seq` at or below the snapshot version
@@ -31,7 +33,9 @@
 //! with monotone versions — the invariant the chaos harness sweeps.
 
 use crate::scheduler::FitSlot;
-use crate::storage::{frame_record, scan_records, FsStorage, MemStorage, ScanStop, Storage};
+use crate::storage::{
+    frame_len, frame_record, scan_records, FsStorage, MemStorage, ScanStop, Storage,
+};
 use nhpp_data::io::{read_failure_times, read_grouped};
 use nhpp_data::{FailureTimeData, GroupedData, ObservedData};
 use nhpp_models::prior::NhppPrior;
@@ -193,14 +197,27 @@ impl RecoveryStats {
     }
 }
 
+// The record kinds, in one place: `<id>.log` holds one config record,
+// then batch and chart records; `<id>.snap` holds one snapshot record.
+const CONFIG: u8 = b'C';
+const BATCH: u8 = b'B';
+/// A chart point: a chart record, appended by [`Project::append_chart`].
+pub const POINT: u8 = b'P';
+/// A change-point alert: the other chart record.
+pub const ALERT: u8 = b'A';
+const SNAPSHOT: u8 = b'S';
+
 /// The durable backing of one project.
 #[derive(Debug)]
 struct ProjectStore {
     storage: Arc<dyn Storage>,
     log_name: String,
     snap_name: String,
-    /// Current log length — drives the compaction trigger.
+    /// Current log length: where a failed append is truncated back to.
     log_bytes: u64,
+    /// Bytes of chart records in the log. Compaction keeps them, so its
+    /// trigger counts only the rest of the log.
+    chart_bytes: u64,
     policy: DurabilityPolicy,
     stats: Arc<RecoveryStats>,
     /// Set when a failed append could not be rolled back.
@@ -208,6 +225,27 @@ struct ProjectStore {
 }
 
 impl ProjectStore {
+    /// The log's chart records, in append order. The log is read only
+    /// when it holds any, and must scan clean to its acknowledged length,
+    /// so a compaction never drops a record it could not read.
+    fn chart_records(&self) -> Result<Vec<(u8, Vec<u8>)>, RegistryError> {
+        if self.chart_bytes == 0 {
+            return Ok(Vec::new());
+        }
+        let bytes = self
+            .storage
+            .read(&self.log_name)
+            .map_err(|e| io_err("log read failed", e))?
+            .unwrap_or_default();
+        let scan = scan_records(&bytes);
+        if scan.stop.is_some() || scan.valid_len != self.log_bytes {
+            return Err(io_err("log read back short", &self.log_name));
+        }
+        let mut records = scan.records;
+        records.retain(|(tag, _)| matches!(*tag, POINT | ALERT));
+        Ok(records)
+    }
+
     /// Appends one framed record. A failed append is truncated back to
     /// the last acknowledged length, so the next append never lands
     /// behind a torn or unacknowledged frame; if that truncation fails
@@ -322,11 +360,51 @@ impl Project {
         if let Some(store) = state.store.as_mut() {
             let mut body = format!("{next_version}\n").into_bytes();
             body.extend_from_slice(batch_text.as_bytes());
-            store.append(&frame_record(b'B', &body))?;
+            store.append(&frame_record(BATCH, &body))?;
         }
         let added = commit_staged(&mut state, staged);
         maintain(&mut state);
         Ok(added)
+    }
+
+    /// Appends [`POINT`] or [`ALERT`] records, no other kind, to the log
+    /// with a batch's framing, fsync and rollback (a no-op in memory).
+    /// Lock order: the monitor's chart lock, then this project's state.
+    ///
+    /// # Errors
+    ///
+    /// [`RegistryError::Invalid`] for another tag, otherwise as
+    /// [`Project::ingest`]'s log write.
+    pub fn append_chart(&self, tag: u8, bodies: &[Vec<u8>]) -> Result<(), RegistryError> {
+        if !matches!(tag, POINT | ALERT) {
+            return Err(RegistryError::Invalid(format!(
+                "{tag} is not a chart record"
+            )));
+        }
+        let mut frames = Vec::new();
+        for body in bodies {
+            frames.extend_from_slice(&frame_record(tag, body));
+        }
+        let mut state = self.state.lock().expect("project state poisoned");
+        if let Some(store) = state.store.as_mut().filter(|_| !frames.is_empty()) {
+            store.append(&frames)?;
+            store.chart_bytes += frames.len() as u64;
+        }
+        Ok(())
+    }
+
+    /// The chart records of the project log, in append order: a read
+    /// only, after replay has cut any torn tail.
+    ///
+    /// # Errors
+    ///
+    /// [`RegistryError::Io`] when the log cannot be read back whole.
+    pub fn chart_records(&self) -> Result<Vec<(u8, Vec<u8>)>, RegistryError> {
+        let state = self.state.lock().expect("project state poisoned");
+        state
+            .store
+            .as_ref()
+            .map_or(Ok(Vec::new()), ProjectStore::chart_records)
     }
 
     /// Consistent snapshot for fitting: `(version, data, spec, prior)`.
@@ -428,14 +506,7 @@ impl Project {
         if state.version == 0 || state.store.is_none() {
             return Ok(());
         }
-        let frame = frame_record(b'S', &encode_snapshot(&state));
-        let store = state.store.as_mut().expect("store checked above");
-        store
-            .storage
-            .replace(&store.snap_name, &frame)
-            .map_err(|e| io_err("snapshot write failed", e))?;
-        store.stats.bump(&store.stats.snapshots_written);
-        Ok(())
+        write_snapshot(&mut state, false)
     }
 
     /// Snapshots and compacts the project log regardless of policy
@@ -443,40 +514,27 @@ impl Project {
     ///
     /// # Errors
     ///
-    /// [`RegistryError::Data`] before any batch has been accepted,
-    /// [`RegistryError::Io`] when a write fails (the log is only
-    /// replaced after the snapshot has landed, so a failure never loses
-    /// data).
+    /// [`RegistryError::Data`] for an in-memory project or before any
+    /// batch has been accepted, [`RegistryError::Io`] when a read or
+    /// write fails (the log is only replaced after the snapshot has
+    /// landed, so a failure never loses data).
     pub fn force_compact(&self) -> Result<(u64, u64), RegistryError> {
         let mut state = self.state.lock().expect("project state poisoned");
-        if state.store.is_none() {
+        let Some(before) = state.store.as_ref().map(|store| store.log_bytes) else {
             return Err(RegistryError::Data(format!(
                 "project '{}' is in-memory only",
                 self.id
             )));
-        }
+        };
         if state.version == 0 {
             return Err(RegistryError::Data(format!(
                 "project '{}' has no ingested data to compact",
                 self.id
             )));
         }
-        let snap_frame = frame_record(b'S', &encode_snapshot(&state));
-        let config_frame = frame_record(b'C', config_body(&state.config).as_bytes());
-        let store = state.store.as_mut().expect("store checked above");
-        let before = store.log_bytes;
-        store
-            .storage
-            .replace(&store.snap_name, &snap_frame)
-            .map_err(|e| io_err("snapshot write failed", e))?;
-        store.stats.bump(&store.stats.snapshots_written);
-        store
-            .storage
-            .replace(&store.log_name, &config_frame)
-            .map_err(|e| io_err("log compaction failed", e))?;
-        store.log_bytes = config_frame.len() as u64;
-        store.stats.bump(&store.stats.compactions_run);
-        Ok((before, store.log_bytes))
+        write_snapshot(&mut state, true)?;
+        let after = state.store.as_ref().map_or(0, |store| store.log_bytes);
+        Ok((before, after))
     }
 }
 
@@ -507,41 +565,43 @@ fn config_body(config: &ProjectConfig) -> String {
 /// compaction. Failures are counted, never surfaced — the log already
 /// holds the batch, so durability is intact either way.
 fn maintain(state: &mut ProjectState) {
-    let (due_snapshot, due_compact) = match state.store.as_ref() {
-        None => return,
-        Some(store) => (
-            store.policy.snapshot_every > 0
-                && state.version.is_multiple_of(store.policy.snapshot_every),
-            store.policy.compact_at_bytes > 0 && store.log_bytes >= store.policy.compact_at_bytes,
-        ),
-    };
-    if !due_snapshot && !due_compact {
+    let Some(store) = state.store.as_ref() else {
         return;
+    };
+    let policy = store.policy;
+    let due_snapshot =
+        policy.snapshot_every > 0 && state.version.is_multiple_of(policy.snapshot_every);
+    let due_compact = policy.compact_at_bytes > 0
+        && store.log_bytes - store.chart_bytes >= policy.compact_at_bytes;
+    if (due_snapshot || due_compact) && write_snapshot(state, due_compact).is_err() {
+        let stats = &state.store.as_ref().expect("store checked above").stats;
+        stats.bump(&stats.maintenance_failures);
     }
-    let snap_frame = frame_record(b'S', &encode_snapshot(state));
-    let config_frame = frame_record(b'C', config_body(&state.config).as_bytes());
-    let store = state.store.as_mut().expect("store checked above");
-    if store
+}
+
+/// The one snapshot writer: replaces `<id>.snap` and, when `compact`,
+/// then the log with its config record followed by its chart records.
+fn write_snapshot(state: &mut ProjectState, compact: bool) -> Result<(), RegistryError> {
+    let snap_frame = frame_record(SNAPSHOT, &encode_snapshot(state));
+    let store = state.store.as_mut().expect("snapshots need a store");
+    store
         .storage
         .replace(&store.snap_name, &snap_frame)
-        .is_err()
-    {
-        store.stats.bump(&store.stats.maintenance_failures);
-        return;
-    }
+        .map_err(|e| io_err("snapshot write failed", e))?;
     store.stats.bump(&store.stats.snapshots_written);
-    if due_compact {
-        if store
-            .storage
-            .replace(&store.log_name, &config_frame)
-            .is_err()
-        {
-            store.stats.bump(&store.stats.maintenance_failures);
-            return;
+    if compact {
+        let mut log = frame_record(CONFIG, config_body(&state.config).as_bytes());
+        for (tag, body) in store.chart_records()? {
+            log.extend_from_slice(&frame_record(tag, &body));
         }
-        store.log_bytes = config_frame.len() as u64;
+        store
+            .storage
+            .replace(&store.log_name, &log)
+            .map_err(|e| io_err("log compaction failed", e))?;
+        store.log_bytes = log.len() as u64;
         store.stats.bump(&store.stats.compactions_run);
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -661,7 +721,7 @@ fn parse_snapshot_file(bytes: &[u8]) -> Result<ProjectState, String> {
         return Err("snapshot file is not one clean record".to_string());
     }
     let (tag, body) = &scan.records[0];
-    if *tag != b'S' {
+    if *tag != SNAPSHOT {
         return Err(format!("unexpected snapshot tag {tag}"));
     }
     decode_snapshot(body)
@@ -823,23 +883,9 @@ impl Registry {
         &self.stats
     }
 
-    /// The storage backend, when the registry is durable. Subsystems
-    /// that persist sidecar state next to the project logs (the monitor
-    /// writes `<id>.mon` chart journals) share the backend through
-    /// this handle so chaos harnesses fault-inject both in one plan.
+    /// The storage backend, when the registry is durable.
     pub fn storage_handle(&self) -> Option<Arc<dyn Storage>> {
         self.storage.clone()
-    }
-
-    /// The active durability policy.
-    pub fn policy(&self) -> DurabilityPolicy {
-        self.policy
-    }
-
-    /// Overrides the durability policy for projects created *after*
-    /// this call (existing projects keep their store's policy).
-    pub fn set_policy(&mut self, policy: DurabilityPolicy) {
-        self.policy = policy;
     }
 
     /// Creates a project (idempotent when the configuration matches).
@@ -866,9 +912,9 @@ impl Registry {
         }
         // Replay left any log of an unknown id empty, so a failed append
         // rolls back to zero bytes.
-        let mut store = self.storage.as_ref().map(|s| self.project_store(s, id, 0));
+        let mut store = self.storage.as_ref().map(|s| self.project_store(s, id));
         let started = store.as_mut().map_or(Ok(()), |store| {
-            store.append(&frame_record(b'C', config_body(&config).as_bytes()))
+            store.append(&frame_record(CONFIG, config_body(&config).as_bytes()))
         });
         if started.is_ok() || store.as_ref().is_some_and(|store| store.read_only) {
             projects.insert(
@@ -879,13 +925,14 @@ impl Registry {
         started.map(|()| CreateOutcome::Created)
     }
 
-    /// The durable backing of project `id`, whose log is `log_bytes` long.
-    fn project_store(&self, storage: &Arc<dyn Storage>, id: &str, log_bytes: u64) -> ProjectStore {
+    /// The durable backing of project `id`, over an empty log.
+    fn project_store(&self, storage: &Arc<dyn Storage>, id: &str) -> ProjectStore {
         ProjectStore {
             storage: storage.clone(),
             log_name: format!("{id}.log"),
             snap_name: format!("{id}.snap"),
-            log_bytes,
+            log_bytes: 0,
+            chart_bytes: 0,
             policy: self.policy,
             stats: self.stats.clone(),
             read_only: false,
@@ -972,9 +1019,11 @@ impl Registry {
             return Ok(());
         }
 
+        // Chart records are the monitor's to read; replay only sizes them.
+        let mut chart_bytes = 0;
         for (tag, body) in &scan.records {
-            match tag {
-                b'C' => {
+            match *tag {
+                CONFIG => {
                     let text = std::str::from_utf8(body).map_err(|_| {
                         RegistryError::Data(format!("non-UTF-8 config record in {log_name}"))
                     })?;
@@ -1000,7 +1049,7 @@ impl Registry {
                         }
                     }
                 }
-                b'B' => {
+                BATCH => {
                     let state = state.as_mut().ok_or_else(|| {
                         RegistryError::Data(format!("batch before config record in {log_name}"))
                     })?;
@@ -1031,6 +1080,7 @@ impl Registry {
                     let staged = stage_batch(state, csv)?;
                     commit_staged(state, staged);
                 }
+                POINT | ALERT => chart_bytes += frame_len(body.len()),
                 other => {
                     return Err(RegistryError::Data(format!(
                         "unknown record tag {other} in {log_name}"
@@ -1039,8 +1089,16 @@ impl Registry {
             }
         }
 
-        let mut state = state.expect("state exists when records or snapshot do");
-        state.store = Some(self.project_store(storage, id, scan.valid_len));
+        let mut state = state.ok_or_else(|| {
+            RegistryError::Data(format!(
+                "chart records without a config record in {log_name}"
+            ))
+        })?;
+        state.store = Some(ProjectStore {
+            log_bytes: scan.valid_len,
+            chart_bytes,
+            ..self.project_store(storage, id)
+        });
         self.projects.lock().expect("registry poisoned").insert(
             id.to_string(),
             Arc::new(Project::from_state(id.to_string(), state)),
@@ -1166,7 +1224,7 @@ pub fn fsck(storage: &dyn Storage) -> Result<Vec<FsckEntry>, RegistryError> {
             },
         };
         let first_batch_seq = scan.records.iter().find_map(|(tag, body)| {
-            if *tag != b'B' {
+            if *tag != BATCH {
                 return None;
             }
             let text = std::str::from_utf8(body).ok()?;

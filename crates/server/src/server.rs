@@ -151,8 +151,8 @@ impl Server {
                 Some(Arc::new(dict))
             }
         };
-        // Chart journals recover against the registry's acknowledged
-        // prefix, so the monitor is built after replay completes.
+        // Charts recover from the chart records of the replayed project
+        // logs, so the monitor is built after replay completes.
         let monitor = match config.monitor {
             None => None,
             Some(mc) => Some(Arc::new(crate::monitor::Monitor::recover(mc, &registry)?)),

@@ -86,6 +86,12 @@ pub fn frame_record(tag: u8, body: &[u8]) -> Vec<u8> {
     frame
 }
 
+/// The length of the frame [`frame_record`] writes for a body of
+/// `body_len` bytes.
+pub fn frame_len(body_len: usize) -> u64 {
+    (8 + 1 + body_len) as u64
+}
+
 /// Why a scan stopped before the end of the bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanStop {

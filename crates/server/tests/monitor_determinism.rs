@@ -1,9 +1,10 @@
 //! Chart-update determinism suite (DESIGN §16): the streaming monitor's
-//! journalled state is a pure function of the ingested data and the
-//! SIMD dispatch — for a fixed forced lane width, every fit thread
-//! count must produce bitwise-identical `.mon` journals, because the
-//! chart statistics are pure functions of `(posterior, t, τ)` and the
-//! posterior itself is bitwise-stable across thread counts (§14).
+//! logged state is a pure function of the ingested data and the SIMD
+//! dispatch — for a fixed forced lane width, every fit thread count
+//! must produce a bitwise-identical project log `p.log`, chart points
+//! and alerts included, because the chart statistics are pure
+//! functions of `(posterior, t, τ)` and the posterior itself is
+//! bitwise-stable across thread counts (§14).
 //!
 //! The workload deliberately crosses every monitor code path: a
 //! deferred first ingest, a catch-up fit through the chart route, an
@@ -56,8 +57,8 @@ fn burst_batch() -> String {
 }
 
 /// One complete monitored workload under a forced dispatch and thread
-/// count; returns the raw `.mon` journal, the alert total, and the
-/// final chart-route body.
+/// count; returns the raw project log, the alert total, and the final
+/// chart-route body.
 fn run(lanes: SimdPolicy, threads: usize) -> (Vec<u8>, u64, String) {
     let mem = Arc::new(MemStorage::new());
     let storage: Arc<dyn Storage> = mem.clone();
@@ -116,12 +117,12 @@ fn run(lanes: SimdPolicy, threads: usize) -> (Vec<u8>, u64, String) {
     assert_eq!(chart.status, 200, "{}", chart.body);
 
     let monitor = state.monitor.as_ref().expect("monitor enabled");
-    let journal = mem
+    let log = mem
         .dump()
-        .get("p.mon")
+        .get("p.log")
         .cloned()
-        .expect("chart journal exists");
-    (journal, monitor.total_alerts(), chart.body.clone())
+        .expect("project log exists");
+    (log, monitor.total_alerts(), chart.body.clone())
 }
 
 #[test]
@@ -135,11 +136,11 @@ fn chart_journals_are_bitwise_identical_across_thread_counts() {
         );
         assert!(body.contains("\"scored_through\": 43"), "{lanes:?}: {body}");
         for threads in [2usize, 8] {
-            let (journal, alerts, other_body) = run(lanes, threads);
+            let (log, alerts, other_body) = run(lanes, threads);
             assert_eq!(alerts, 2, "{lanes:?} x{threads}");
             assert_eq!(
-                journal, reference,
-                "{lanes:?}: .mon journal differs between 1 and {threads} fit threads"
+                log, reference,
+                "{lanes:?}: p.log differs between 1 and {threads} fit threads"
             );
             assert_eq!(
                 other_body, body,
@@ -149,9 +150,9 @@ fn chart_journals_are_bitwise_identical_across_thread_counts() {
     }
 }
 
-/// The recorded `lane_width` provenance is enough to replay a journal
-/// bitwise: re-running under the dispatch a journal records reproduces
-/// that journal exactly (here: every forced width reproduces itself,
+/// The recorded `lane_width` provenance is enough to replay a log
+/// bitwise: re-running under the dispatch a log records reproduces
+/// that log exactly (here: every forced width reproduces itself,
 /// and different widths genuinely record different provenance).
 #[test]
 fn recorded_lane_width_replays_bitwise() {
