@@ -62,16 +62,6 @@ impl LaplacePosterior {
         })
     }
 
-    /// The MAP estimate `(ω̂, β̂)` used as the normal mean.
-    pub fn map_estimate(&self) -> (f64, f64) {
-        self.map
-    }
-
-    /// The approximating covariance matrix `(−H)⁻¹`.
-    pub fn covariance_matrix(&self) -> SymMat2 {
-        self.cov
-    }
-
     /// Unnormalised log-posterior value at the MAP (useful for Laplace
     /// evidence approximations).
     pub fn log_posterior_at_map(&self) -> f64 {

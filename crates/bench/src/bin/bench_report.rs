@@ -5,9 +5,9 @@
 //! successive substitution and, for the §6 solver conjecture, Newton),
 //! the production and supervised VB2 fits, batch and thread-pool
 //! fitting, NINT, the posterior reliability functionals, the predictive
-//! failure counts, marginal quantiles, the registry's long-history
-//! append and replay and the scheduler's cache hit on that history, with
-//! plain `Instant` medians, and writes a
+//! failure counts, the mean-value band, marginal quantiles, the
+//! registry's long-history append and replay and the scheduler's cache
+//! hit on that history, with plain `Instant` medians, and writes a
 //! `BENCH_*.json` report;
 //! `bench_report compare` gates a new report against a previous one.
 //!
@@ -288,11 +288,17 @@ fn run(args: &[String]) -> ExitCode {
     record(&mut metrics, "predict", samples, || {
         warm.predictive_failures(sys17::T_END, mission).unwrap()
     });
+    // band: the `/band` route's default band, 20 points over
+    // (0, t_end] at level 0.99, on the same warm posterior.
+    let band_grid: Vec<f64> = (1..=20).map(|i| sys17::T_END * i as f64 / 20.0).collect();
+    record(&mut metrics, "band", samples, || {
+        warm.mean_value_band(&band_grid, 0.99).unwrap()
+    });
 
     // credible-interval: the ω and β 0.95 equal-tail intervals and their
     // medians (Tables 2–3, and what a calibrated `/interval` solves);
-    // quantile-tail: the ω quantile at 1 − 1e-12 that bounds the
-    // `/band` search.
+    // quantile-tail: the marginal solver deep in the upper tail, at the
+    // ω quantile 1 − 1e-12.
     record(&mut metrics, "credible-interval", samples, || {
         (
             warm.credible_interval_omega(0.95),

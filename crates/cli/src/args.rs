@@ -131,19 +131,24 @@ impl ParsedArgs {
             .ok_or_else(|| ArgError::Required(key.to_string()))
     }
 
-    /// Returns a parsed `f64` option, or the default when absent.
+    /// Returns a parsed finite `f64` option, or the default when absent.
     ///
     /// # Errors
     ///
-    /// [`ArgError::Invalid`] when present but unparsable.
+    /// [`ArgError::Invalid`] when present but unparsable or not finite
+    /// (`inf`, `NaN`, or a literal like `1e400` that overflows).
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, ArgError> {
         match self.get(key) {
             None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::Invalid {
-                key: key.to_string(),
-                value: raw.to_string(),
-                expected: "a number",
-            }),
+            Some(raw) => raw
+                .parse()
+                .ok()
+                .filter(|value: &f64| value.is_finite())
+                .ok_or_else(|| ArgError::Invalid {
+                    key: key.to_string(),
+                    value: raw.to_string(),
+                    expected: "a finite number",
+                }),
         }
     }
 
@@ -222,6 +227,13 @@ mod tests {
             p.get_f64("level", 0.9),
             Err(ArgError::Invalid { .. })
         ));
+        for raw in ["inf", "NaN"] {
+            let p = parse(&["predict", "--window", raw]).unwrap();
+            assert!(
+                matches!(p.get_f64("window", 1.0), Err(ArgError::Invalid { .. })),
+                "{raw}"
+            );
+        }
         assert!(matches!(
             p.get_u64("seed", 1),
             Err(ArgError::Invalid { .. })

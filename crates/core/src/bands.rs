@@ -5,19 +5,18 @@
 //!
 //! For a Gamma-product-mixture posterior the computation mirrors the
 //! reliability functionals: conditionally on `(N, β)`,
-//! `Λ(t) = ω·G(t; β)` is a scaled Gamma variable, so
-//! `P(Λ(t) <= x | N, β) = GammaCdf(x / G(t; β); A_N, r_ω)` and one
-//! `β`-quadrature per component over the mixture's β-table finishes the
-//! job, with `G(t; β)` the mission mass of the window `(0, t]`.
+//! `Λ(t) = ω·G(t; β)` is `Gamma(A_N, r_ω/G(t; β))`, with `G(t; β)` the
+//! mission mass of the window `(0, t]`. Over the mixture's cell table
+//! ([`GammaProductMixture::cell_table`]) `Λ(t)` is therefore a flat
+//! mixture of one such Gamma per cell, plus an atom at `0` for the cells
+//! where `G(t; β) = 0`. The mean is one pass over the cells, and the
+//! edges are quantiles of that mixture by safeguarded Newton
+//! ([`GammaMixture::quantile`]).
 
 use crate::error::VbError;
 use crate::reliability::mission_mass;
-use nhpp_dist::{Continuous, GammaProductMixture};
+use nhpp_dist::{Continuous, Gamma, GammaMixture, GammaProductMixture};
 use nhpp_models::ModelSpec;
-use nhpp_numeric::quadrature::GaussLegendre;
-use nhpp_numeric::roots::bisect;
-
-const BETA_NODES: usize = 64;
 
 /// One point of a credible band.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,58 +31,47 @@ pub struct BandPoint {
     pub upper: f64,
 }
 
-/// Posterior mean of the mean value function, `E[ω·G(t; β)]`.
-pub fn mean_value_mean(mixture: &GammaProductMixture, spec: ModelSpec, t: f64) -> f64 {
-    let rule = GaussLegendre::shared(BETA_NODES);
-    mixture
-        .beta_table()
-        .iter()
-        .map(|row| {
-            let g_mean = row.expectation(&rule, |b| mission_mass(spec, b, 0.0, t));
-            row.weight * row.omega.mean() * g_mean
-        })
-        .sum()
-}
-
-/// Posterior CDF of the mean value function, `P(Λ(t) <= x)`.
-pub fn mean_value_cdf(mixture: &GammaProductMixture, spec: ModelSpec, t: f64, x: f64) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
+/// The band point at `t` with edges at the `tail` and `1 − tail`
+/// quantiles of `Λ(t)`.
+///
+/// The posterior CDF over the cells is `F(x) = atom + Σ w·P(Y ≤ x)`,
+/// where `atom` sums the weights of the cells with `Λ(t) = 0` and `Y` is
+/// a cell's Gamma. The cells hold slightly less than unit mass (their
+/// rows span the inner β quantiles only) and `F` is not renormalised, so
+/// `F(x) = p` is `0` for `p ≤ atom` and otherwise the
+/// `(p − atom)/Σ w` quantile of the cells' mixture; a target of `1` or
+/// more, which no `x` reaches, is `NaN`.
+fn band_point(mixture: &GammaProductMixture, spec: ModelSpec, t: f64, tail: f64) -> BandPoint {
+    let table = mixture.cell_table();
+    let mean = table.expectation(|omega, b| omega.mean() * mission_mass(spec, b, 0.0, t));
+    let mut atom = 0.0;
+    let mut parts = Vec::new();
+    for (w, omega, b) in table.cells() {
+        // `G = 0` gives an infinite rate, as does one that overflows:
+        // either way `Λ(t) = 0` in this cell.
+        match Gamma::new(omega.shape(), omega.rate() / mission_mass(spec, b, 0.0, t)) {
+            Ok(y) => parts.push((w, y)),
+            Err(_) => atom += w,
+        }
     }
-    let rule = GaussLegendre::shared(BETA_NODES);
-    mixture
-        .beta_table()
-        .iter()
-        .map(|row| {
-            let inner = row.expectation(&rule, |b| {
-                let g = mission_mass(spec, b, 0.0, t);
-                if g <= 0.0 {
-                    1.0 // Λ(t) = 0 <= x surely
-                } else {
-                    row.omega.cdf(x / g)
-                }
-            });
-            row.weight * inner
-        })
-        .sum::<f64>()
-        .clamp(0.0, 1.0)
-}
-
-/// Posterior quantile of `Λ(t)` by bracketed bisection.
-pub fn mean_value_quantile(mixture: &GammaProductMixture, spec: ModelSpec, t: f64, p: f64) -> f64 {
-    if !(0.0..=1.0).contains(&p) {
-        return f64::NAN;
+    let mass: f64 = parts.iter().map(|(w, _)| w).sum();
+    let cells = GammaMixture::new(parts).ok();
+    let edge = |p: f64| {
+        if p <= atom {
+            return 0.0;
+        }
+        let target = (p - atom) / mass;
+        match &cells {
+            Some(cells) if target < 1.0 => cells.quantile(target),
+            _ => f64::NAN,
+        }
+    };
+    BandPoint {
+        t,
+        lower: edge(tail),
+        mean,
+        upper: edge(1.0 - tail),
     }
-    // Λ(t) <= ω, so the mixture's extreme ω quantile bounds the search.
-    let hi = mixture.marginal_omega().quantile(1.0 - 1e-12).min(1e12);
-    bisect(
-        |x| mean_value_cdf(mixture, spec, t, x) - p,
-        0.0,
-        hi,
-        1e-9 * hi.max(1.0),
-        200,
-    )
-    .unwrap_or(f64::NAN)
 }
 
 /// Evaluates the `level` credible band of `Λ(t)` over a time grid.
@@ -120,19 +108,14 @@ pub fn mean_value_band(
     let tail = (1.0 - level) / 2.0;
     Ok(t_grid
         .iter()
-        .map(|&t| BandPoint {
-            t,
-            lower: mean_value_quantile(mixture, spec, t, tail),
-            mean: mean_value_mean(mixture, spec, t),
-            upper: mean_value_quantile(mixture, spec, t, 1.0 - tail),
-        })
+        .map(|&t| band_point(mixture, spec, t, tail))
         .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nhpp_dist::{Gamma, MixtureComponent};
+    use nhpp_dist::MixtureComponent;
 
     fn concentrated(omega0: f64, beta0: f64) -> GammaProductMixture {
         let k = 1e6;
@@ -151,8 +134,8 @@ mod tests {
         let spec = ModelSpec::goel_okumoto();
         let t = 8_000.0;
         let exact = w0 * Gamma::new(1.0, b0).unwrap().cdf(t);
-        assert!((mean_value_mean(&mixture, spec, t) - exact).abs() < 1e-2 * exact);
         let band = mean_value_band(&mixture, spec, &[t], 0.95).unwrap();
+        assert!((band[0].mean - exact).abs() < 1e-2 * exact);
         assert!((band[0].lower - exact).abs() < 0.01 * exact);
         assert!((band[0].upper - exact).abs() < 0.01 * exact);
     }
@@ -177,25 +160,6 @@ mod tests {
         for pair in band.windows(2) {
             assert!(pair[1].mean >= pair[0].mean);
             assert!(pair[1].upper >= pair[0].upper);
-        }
-    }
-
-    #[test]
-    fn cdf_quantile_round_trip() {
-        let mixture = GammaProductMixture::new(vec![MixtureComponent {
-            weight: 1.0,
-            omega: Gamma::new(20.0, 0.5).unwrap(),
-            beta: Gamma::new(10.0, 1e5).unwrap(),
-        }])
-        .unwrap();
-        let spec = ModelSpec::goel_okumoto();
-        let t = 10_000.0;
-        for &p in &[0.05, 0.5, 0.95] {
-            let q = mean_value_quantile(&mixture, spec, t, p);
-            assert!(
-                (mean_value_cdf(&mixture, spec, t, q) - p).abs() < 1e-6,
-                "p={p}"
-            );
         }
     }
 

@@ -9,20 +9,18 @@
 //! P(K = k | β) = Γ(A+k)/(Γ(A)·k!) · p^A (1−p)^k,   p = r/(r + c(β))
 //! ```
 //!
-//! with `c(β) = G(t+u; α₀, β) − G(t; α₀, β)`. The `β`-integral is done by
-//! Gauss–Legendre per row of the mixture's β-table, and the pmf over `k`
-//! by the stable recurrence `P(k+1) = P(k)·(A+k)/(k+1)·(1−p)`.
+//! with `c(β) = G(t+u; α₀, β) − G(t; α₀, β)`. The `β`-integral is a sum
+//! over the mixture's cell table ([`GammaProductMixture::cell_table`]),
+//! one negative binomial per cell, and the pmf over `k` comes from the
+//! stable recurrence `P(k+1) = P(k)·(A+k)/(k+1)·(1−p)`.
 
 use crate::error::VbError;
 use crate::reliability::mission_mass;
 use nhpp_dist::GammaProductMixture;
 use nhpp_models::prediction::PredictiveCounts;
 use nhpp_models::ModelSpec;
-use nhpp_numeric::quadrature::GaussLegendre;
 
-/// Gauss–Legendre nodes for the β integral.
-const BETA_NODES: usize = 64;
-/// Quadrature nodes below this weight are dropped.
+/// Cells below this weight are dropped.
 const NODE_FLOOR: f64 = 1e-16;
 /// Hard cap on the explicit pmf support.
 const K_CAP: usize = 100_000;
@@ -30,7 +28,7 @@ const K_CAP: usize = 100_000;
 /// Computes the posterior-predictive distribution of the number of
 /// failures in `(t, t+u]` under a Gamma-product-mixture posterior,
 /// truncating once the accumulated mass reaches `1 − tail_tol` of the
-/// total cell weight. The stop is relative because the β-table cells
+/// total cell weight. The stop is relative because the cells
 /// hold slightly less than unit mass (their rows span the inner
 /// quantiles only), so an absolute `1 − tail_tol` target could sit
 /// above everything the cells can ever deliver.
@@ -60,9 +58,7 @@ pub fn predictive_counts(
             message: "tail_tol must lie in (0, 1)",
         });
     }
-    let rule = GaussLegendre::shared(BETA_NODES);
-
-    // Flatten (component × β-node) into negative-binomial cells.
+    // One negative binomial per cell of the table.
     struct Cell {
         weight: f64,
         shape: f64,
@@ -72,24 +68,20 @@ pub fn predictive_counts(
         one_minus_p: f64,
     }
     let mut cells: Vec<Cell> = Vec::new();
-    for row in mixture.beta_table() {
-        let a = row.omega.shape();
-        let r = row.omega.rate();
-        for (b, gw) in rule.scaled(row.lo, row.hi) {
-            let node_weight = row.weight * gw * row.density(b);
-            if node_weight < NODE_FLOOR {
-                continue;
-            }
-            let c = mission_mass(spec, b, t, u);
-            // ln p^A = −A·ln(1 + c/r), stable for small c.
-            let value = (-a * (c / r).ln_1p()).exp();
-            cells.push(Cell {
-                weight: node_weight,
-                shape: a,
-                value,
-                one_minus_p: c / (r + c),
-            });
+    for (weight, omega, b) in mixture.cell_table().cells() {
+        if weight < NODE_FLOOR {
+            continue;
         }
+        let (a, r) = (omega.shape(), omega.rate());
+        let c = mission_mass(spec, b, t, u);
+        // ln p^A = −A·ln(1 + c/r), stable for small c. A cell with
+        // c = 0 is a point mass at k = 0.
+        cells.push(Cell {
+            weight,
+            shape: a,
+            value: (-a * (c / r).ln_1p()).exp(),
+            one_minus_p: c / (r + c),
+        });
     }
     if cells.is_empty() {
         return Err(VbError::DegenerateWeights {

@@ -589,23 +589,7 @@ impl Vb2Posterior {
         options: Vb2Options,
         warm: Option<&Vb2WarmStart>,
     ) -> Result<Self, VbError> {
-        Self::fit_warm_with_scratch(spec, prior, data, options, warm, &mut Vb2Scratch::new())
-    }
-
-    /// [`Vb2Posterior::fit_warm`] reusing caller-owned working memory.
-    ///
-    /// # Errors
-    ///
-    /// As [`Vb2Posterior::fit`].
-    pub fn fit_warm_with_scratch(
-        spec: ModelSpec,
-        prior: NhppPrior,
-        data: &ObservedData,
-        options: Vb2Options,
-        warm: Option<&Vb2WarmStart>,
-        scratch: &mut Vb2Scratch,
-    ) -> Result<Self, VbError> {
-        Self::fit_impl(spec, prior, data, options, warm, scratch)
+        Self::fit_impl(spec, prior, data, options, warm, &mut Vb2Scratch::new())
     }
 
     /// [`Vb2Posterior::fit`] reusing caller-owned working memory.

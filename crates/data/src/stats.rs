@@ -1,6 +1,5 @@
 //! Descriptive statistics and trend testing for failure data.
 
-use crate::grouped::GroupedData;
 use crate::times::FailureTimeData;
 
 /// Summary statistics of a failure dataset.
@@ -21,22 +20,6 @@ impl SummaryStats {
     /// Summarises failure-time data.
     pub fn from_times(data: &FailureTimeData) -> Self {
         let count = data.len();
-        let t_end = data.observation_end();
-        SummaryStats {
-            count,
-            observation_end: t_end,
-            mean_interarrival: if count > 0 {
-                t_end / count as f64
-            } else {
-                f64::NAN
-            },
-            overall_intensity: count as f64 / t_end,
-        }
-    }
-
-    /// Summarises grouped data.
-    pub fn from_grouped(data: &GroupedData) -> Self {
-        let count = data.total_count() as usize;
         let t_end = data.observation_end();
         SummaryStats {
             count,
@@ -91,16 +74,6 @@ mod tests {
         assert_eq!(s.observation_end, 10.0);
         assert!((s.mean_interarrival - 2.5).abs() < 1e-14);
         assert!((s.overall_intensity - 0.4).abs() < 1e-14);
-    }
-
-    #[test]
-    fn summary_from_grouped_matches_times() {
-        let d = FailureTimeData::new(vec![0.5, 1.5, 2.5], 4.0).unwrap();
-        let g = d.group_equal_width(4).unwrap();
-        let st = SummaryStats::from_times(&d);
-        let sg = SummaryStats::from_grouped(&g);
-        assert_eq!(st.count, sg.count);
-        assert_eq!(st.observation_end, sg.observation_end);
     }
 
     #[test]

@@ -74,16 +74,6 @@ impl FailureTimeData {
         Ok(())
     }
 
-    /// Creates the dataset from unsorted times, sorting them first.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`FailureTimeData::new`].
-    pub fn from_unsorted(mut times: Vec<f64>, t_end: f64) -> Result<Self, DataError> {
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        FailureTimeData::new(times, t_end)
-    }
-
     /// The ordered failure times.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -154,23 +144,6 @@ impl FailureTimeData {
         let boundaries: Vec<f64> = (1..=bins).map(|i| i as f64 * width).collect();
         GroupedData::new(boundaries, counts)
     }
-
-    /// Groups the failure times on an arbitrary increasing boundary
-    /// sequence `s₁ < … < s_k` (counts of failures in `(s_{i−1}, s_i]`,
-    /// with `s₀ = 0`). Failures beyond `s_k` are dropped.
-    ///
-    /// # Errors
-    ///
-    /// [`DataError::InvalidGrouping`] on an invalid boundary sequence.
-    pub fn group_on(&self, boundaries: Vec<f64>) -> Result<GroupedData, DataError> {
-        let mut counts = vec![0u64; boundaries.len()];
-        for &t in &self.times {
-            if let Some(idx) = boundaries.iter().position(|&s| t <= s) {
-                counts[idx] += 1;
-            }
-        }
-        GroupedData::new(boundaries, counts)
-    }
 }
 
 #[cfg(test)]
@@ -189,12 +162,6 @@ mod tests {
         assert!(FailureTimeData::new(vec![f64::NAN], 5.0).is_err());
         // Ties allowed.
         assert!(FailureTimeData::new(vec![1.0, 1.0], 5.0).is_ok());
-    }
-
-    #[test]
-    fn from_unsorted_sorts() {
-        let d = FailureTimeData::from_unsorted(vec![3.0, 1.0, 2.0], 5.0).unwrap();
-        assert_eq!(d.times(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
@@ -231,13 +198,5 @@ mod tests {
     fn group_equal_width_rejects_zero_bins() {
         let d = FailureTimeData::new(vec![1.0], 4.0).unwrap();
         assert!(d.group_equal_width(0).is_err());
-    }
-
-    #[test]
-    fn group_on_arbitrary_boundaries() {
-        let d = FailureTimeData::new(vec![0.5, 2.5, 3.5], 4.0).unwrap();
-        let g = d.group_on(vec![1.0, 3.0]).unwrap();
-        // 3.5 is beyond s_k = 3 and is dropped.
-        assert_eq!(g.counts(), &[1, 1]);
     }
 }

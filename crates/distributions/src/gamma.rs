@@ -103,11 +103,6 @@ impl Gamma {
         }
     }
 
-    /// `E[ln X] = ψ(shape) − ln rate`, needed by variational updates.
-    pub fn mean_ln(&self) -> f64 {
-        nhpp_special::digamma(self.shape) - self.rate.ln()
-    }
-
     /// Differential entropy of the distribution.
     pub fn entropy(&self) -> f64 {
         let a = self.shape;
@@ -433,15 +428,6 @@ mod tests {
             assert!((var - g.variance()).abs() < 0.05 * g.variance());
             assert!(samples.iter().all(|&x| x > 0.0));
         }
-    }
-
-    #[test]
-    fn mean_ln_matches_monte_carlo() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let g = Gamma::new(3.5, 2.0).unwrap();
-        let n = 200_000;
-        let mc: f64 = g.sample_n(&mut rng, n).iter().map(|x| x.ln()).sum::<f64>() / n as f64;
-        assert!((g.mean_ln() - mc).abs() < 5e-3);
     }
 
     #[test]

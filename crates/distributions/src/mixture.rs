@@ -441,6 +441,22 @@ impl CellTable {
         }
         acc
     }
+
+    /// Every cell as `(weighted density, ω distribution, β)`, row after
+    /// row: the terms [`CellTable::expectation`] sums, for a functional
+    /// that needs the cells themselves rather than one sum over them.
+    pub fn cells(&self) -> impl Iterator<Item = (f64, &Gamma, f64)> + '_ {
+        let nodes = self.rule.nodes();
+        self.rows
+            .iter()
+            .zip(self.cells.chunks_exact(CELL_NODES))
+            .flat_map(move |(row, cells)| {
+                nodes
+                    .iter()
+                    .zip(cells)
+                    .map(move |(&x, &cell)| (cell, &row.omega, row.centre + row.half_width * x))
+            })
+    }
 }
 
 /// A mixture of *products* of two independent Gamma distributions — the
@@ -979,6 +995,16 @@ mod tests {
         assert!((mean_beta / m.mean_beta() - 1.0).abs() < 1e-9);
         let mean_omega = cells.expectation(|omega, _| omega.mean());
         assert!((mean_omega / m.mean_omega() - 1.0).abs() < 1e-9);
+        // `cells` lists the terms `expectation` sums, in its order.
+        let mut summed = Vec::new();
+        cells.expectation(|omega, b| {
+            summed.push((*omega, b));
+            0.0
+        });
+        let listed: Vec<(Gamma, f64)> = cells.cells().map(|(_, omega, b)| (*omega, b)).collect();
+        assert_eq!(listed, summed);
+        let listed_mass: f64 = cells.cells().map(|(w, _, _)| w).sum();
+        assert!((listed_mass - mass).abs() < 1e-15);
         // The table is a cache: equality and `Debug` ignore it, and a
         // clone carries it.
         let fresh = GammaProductMixture::new(m.components().to_vec()).unwrap();

@@ -153,13 +153,13 @@ fn level(req: &Request) -> Result<f64, Response> {
 }
 
 /// `window`: the mission or prediction length past the observation
-/// end; required and positive.
+/// end; required, finite and positive.
 fn window(req: &Request) -> Result<f64, Response> {
     let window = parse_f64(req, "window", 0.0)?;
-    if window > 0.0 {
+    if window > 0.0 && window.is_finite() {
         Ok(window)
     } else {
-        Err(error_response(400, "window must be positive"))
+        Err(error_response(400, "window must be finite and positive"))
     }
 }
 
@@ -1288,7 +1288,11 @@ mod tests {
             "/projects/p/band?points=513",
             "/projects/p/spc?calibrated=maybe",
             "/projects/p/predict?window=-1",
+            "/projects/p/predict?window=inf",
+            "/projects/p/predict?window=1e400",
             "/projects/p/reliability?window=NaN",
+            "/projects/p/reliability?window=inf",
+            "/projects/p/reliability?window=1e400",
             "/projects/p/reliability?window=1&level=0",
         ] {
             let resp = handle(&state, &get(path));
