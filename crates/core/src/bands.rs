@@ -4,18 +4,19 @@
 //! failure counts.
 //!
 //! For a Gamma-product-mixture posterior the computation mirrors the
-//! reliability functionals: conditionally on `(N, β)`,
+//! reliability quantiles: conditionally on `(N, β)`,
 //! `Λ(t) = ω·G(t; β)` is `Gamma(A_N, r_ω/G(t; β))`, with `G(t; β)` the
 //! mission mass of the window `(0, t]`. Over the mixture's cell table
 //! ([`GammaProductMixture::cell_table`]) `Λ(t)` is therefore a flat
 //! mixture of one such Gamma per cell, plus an atom at `0` for the cells
-//! where `G(t; β) = 0`. The mean is one pass over the cells, and the
-//! edges are quantiles of that mixture by safeguarded Newton
-//! ([`GammaMixture::quantile`]).
+//! where `G(t; β) = 0`; the reliability quantiles build theirs with the
+//! same helper. The mean is one pass over the cells, and the edges are
+//! quantiles of that mixture by safeguarded Newton
+//! ([`GammaMixture::quantile`](nhpp_dist::GammaMixture::quantile)).
 
 use crate::error::VbError;
-use crate::reliability::mission_mass;
-use nhpp_dist::{Continuous, Gamma, GammaMixture, GammaProductMixture};
+use crate::reliability::{cell_mixture, mission_mass};
+use nhpp_dist::{Continuous, GammaProductMixture};
 use nhpp_models::ModelSpec;
 
 /// One point of a credible band.
@@ -44,18 +45,7 @@ pub struct BandPoint {
 fn band_point(mixture: &GammaProductMixture, spec: ModelSpec, t: f64, tail: f64) -> BandPoint {
     let table = mixture.cell_table();
     let mean = table.expectation(|omega, b| omega.mean() * mission_mass(spec, b, 0.0, t));
-    let mut atom = 0.0;
-    let mut parts = Vec::new();
-    for (w, omega, b) in table.cells() {
-        // `G = 0` gives an infinite rate, as does one that overflows:
-        // either way `Λ(t) = 0` in this cell.
-        match Gamma::new(omega.shape(), omega.rate() / mission_mass(spec, b, 0.0, t)) {
-            Ok(y) => parts.push((w, y)),
-            Err(_) => atom += w,
-        }
-    }
-    let mass: f64 = parts.iter().map(|(w, _)| w).sum();
-    let cells = GammaMixture::new(parts).ok();
+    let (atom, mass, cells) = cell_mixture(table.cells(), |b| mission_mass(spec, b, 0.0, t));
     let edge = |p: f64| {
         if p <= atom {
             return 0.0;
@@ -115,7 +105,7 @@ pub fn mean_value_band(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nhpp_dist::MixtureComponent;
+    use nhpp_dist::{Gamma, MixtureComponent};
 
     fn concentrated(omega0: f64, beta0: f64) -> GammaProductMixture {
         let k = 1e6;

@@ -30,7 +30,6 @@
 use crate::bands::BandPoint;
 use nhpp_data::json::{self, json_number, json_string, Value};
 use nhpp_models::prior::{NhppPrior, ParamPrior};
-use nhpp_models::Posterior;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -89,43 +88,6 @@ impl Calibration {
         (
             self.quantile(median, lo).max(floor),
             self.quantile(median, hi),
-        )
-    }
-
-    /// Calibrated equal-tail credible interval for `ω`.
-    pub fn interval_omega(&self, posterior: &dyn Posterior, level: f64) -> (f64, f64) {
-        let raw = posterior.credible_interval_omega(level);
-        if self.is_identity() {
-            return raw;
-        }
-        self.interval(posterior.quantile_omega(0.5), raw, 0.0)
-    }
-
-    /// Calibrated equal-tail credible interval for `β`.
-    pub fn interval_beta(&self, posterior: &dyn Posterior, level: f64) -> (f64, f64) {
-        let raw = posterior.credible_interval_beta(level);
-        if self.is_identity() {
-            return raw;
-        }
-        self.interval(posterior.quantile_beta(0.5), raw, 0.0)
-    }
-
-    /// Calibrated reliability interval; both endpoints stay in `[0, 1]`.
-    pub fn reliability_interval(
-        &self,
-        posterior: &dyn Posterior,
-        t: f64,
-        u: f64,
-        level: f64,
-    ) -> (f64, f64) {
-        let (lo, hi) = posterior.reliability_interval(t, u, level);
-        if self.is_identity() {
-            return (lo, hi);
-        }
-        let median = posterior.reliability_quantile(t, u, 0.5);
-        (
-            self.quantile(median, lo).clamp(0.0, 1.0),
-            self.quantile(median, hi).clamp(0.0, 1.0),
         )
     }
 

@@ -75,9 +75,7 @@ pub use robust::{
     RobustTask, WarmRobustTask,
 };
 pub use vb1::{Vb1Options, Vb1Posterior};
-pub use vb2::{
-    SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Scratch, Vb2Task, Vb2WarmStart,
-};
+pub use vb2::{SolverKind, Truncation, Vb2Options, Vb2Posterior, Vb2Task, Vb2WarmStart};
 // The lane-dispatch vocabulary travels with the fit options that use it.
 pub use nhpp_special::{SimdDispatch, SimdPolicy, WIDE_LANES};
 #[doc(hidden)]

@@ -8,24 +8,26 @@
 //! * point estimate — the Gamma moment-generating function gives
 //!   `E[e^{−ω·c(β)} | N, β] = (r_ω / (r_ω + c(β)))^{A_N}` exactly, so
 //!   `E[R] = Σ_N w_N ∫ q_N(β) · e^{−A_N ln(1 + c(β)/r_ω)} dβ`;
-//! * CDF — `P(R <= x | N, β) = P(ω >= −ln x / c(β)) = Q(A_N, r_ω·a)`,
-//!   the regularised upper incomplete gamma, integrated over `β` and
-//!   inverted by bisection for quantiles.
+//! * quantiles — given β, `−ln R = ω·c(β)` is `Gamma(A_N, r_ω/c(β))`, so
+//!   over quadrature cells `−ln R` is a flat Gamma mixture with an atom
+//!   at `0` (the cells where `c = 0`), and `P(R ≤ x)` is
+//!   `Σ_{c>0} w·Q(Y; −ln x)`, Eq. (32). Its quantiles come from
+//!   [`GammaMixture::quantile`], the safeguarded Newton solver the band
+//!   uses on its own cells (`cell_mixture`).
 //!
 //! Bounds and densities of the `β` integrals come from the mixture's
 //! β-table ([`GammaProductMixture::beta_table`]), built once per
 //! posterior; each node then costs one `mission_mass`. The GO and DSS
 //! point estimate, which every chart point is, reads the weighted node
-//! densities themselves from the cell table
-//! ([`GammaProductMixture::cell_table`]). The CDF stays on the 96-node
-//! rule: its integrand `Q(A_N, r_ω·a)` is a sharp step in `β`, and on the
-//! 48-node cells the System 17 DSS D_T-Info reliability quantiles moved
-//! by up to `1.1e−9`, where their bisection stops at `1e−10`.
+//! densities themselves from the cached 48-node cell table
+//! ([`GammaProductMixture::cell_table`]). The quantiles run on a 96-node
+//! cell table built per call: the integrand `Q(Y; −ln x)` is a sharp step
+//! in `β`, and on the 48-node cells the System 17 DSS D_T-NoInfo
+//! reliability quantiles moved by up to `9.8e−8`.
 
-use nhpp_dist::{Continuous, Gamma, GammaProductMixture};
+use nhpp_dist::{CellTable, Continuous, Gamma, GammaMixture, GammaProductMixture};
 use nhpp_models::ModelSpec;
 use nhpp_numeric::quadrature::GaussLegendre;
-use nhpp_numeric::roots::bisect;
 
 /// Number of Gauss–Legendre nodes for the β integrals.
 const BETA_NODES: usize = 96;
@@ -76,6 +78,28 @@ fn erlang2_cdf(d: f64) -> f64 {
     (-d).exp() * sum
 }
 
+/// The flat mixture of `Y = ω·c(β)` over `cells`, each listed as
+/// `(weight, ω distribution, β)`: per cell `Y` is `Gamma(A, r/c)`.
+/// Returns `(atom, mass, mixture)`, where `atom` sums the weights of the
+/// cells with `Y = 0` (`c = 0`, or a rate `r/c` that overflows), `mass`
+/// those of the rest and `mixture` is the rest, normalised (`None` when
+/// no cell is left).
+pub(crate) fn cell_mixture<'a>(
+    cells: impl Iterator<Item = (f64, &'a Gamma, f64)>,
+    mut c: impl FnMut(f64) -> f64,
+) -> (f64, f64, Option<GammaMixture>) {
+    let mut atom = 0.0;
+    let mut parts = Vec::new();
+    for (w, omega, b) in cells {
+        match Gamma::new(omega.shape(), omega.rate() / c(b)) {
+            Ok(y) => parts.push((w, y)),
+            Err(_) => atom += w,
+        }
+    }
+    let mass = parts.iter().map(|(w, _)| w).sum();
+    (atom, mass, GammaMixture::new(parts).ok())
+}
+
 /// `E[e^{−ω·c}] = (1 + c/r)^{−A}` for `ω ~ Gamma(A, r)`: the reliability
 /// of a window of mission mass `c`, given the component and β.
 fn reliability_given(omega: &Gamma, c: f64) -> f64 {
@@ -106,40 +130,15 @@ pub fn reliability_point(mixture: &GammaProductMixture, spec: ModelSpec, t: f64,
     acc
 }
 
-/// Posterior CDF of software reliability, `P(R(t+u|t) <= x)`, Eq. (32).
-pub fn reliability_cdf(
-    mixture: &GammaProductMixture,
-    spec: ModelSpec,
-    t: f64,
-    u: f64,
-    x: f64,
-) -> f64 {
-    if x <= 0.0 {
-        return 0.0;
-    }
-    if x >= 1.0 {
-        return 1.0;
-    }
-    let rule = GaussLegendre::shared(BETA_NODES);
-    let neg_ln_x = -x.ln();
-    let mut acc = 0.0;
-    for row in mixture.beta_table() {
-        let inner = row.expectation(&rule, |b| {
-            let c = mission_mass(spec, b, t, u);
-            if c <= 0.0 {
-                // Zero chance of any failure ⇒ R = 1 > x.
-                0.0
-            } else {
-                row.omega.sf(neg_ln_x / c)
-            }
-        });
-        acc += row.weight * inner;
-    }
-    acc.clamp(0.0, 1.0)
-}
-
-/// Posterior quantile of software reliability (bisection on
-/// [`reliability_cdf`]).
+/// Posterior quantile of software reliability, the root of
+/// `P(R ≤ x) = Σ_{c>0} w·Q(Y; −ln x) = p` over a 96-node cell table
+/// (see `cell_mixture`).
+///
+/// The cells hold slightly less than unit mass and the CDF is not
+/// renormalised: below `x = 1` it stays under `mass`, the weight of the
+/// cells with `c > 0`, so a `p ≥ mass` has quantile `1`. Otherwise the
+/// quantile is `e^{−y}`, with `y` the `1 − p/mass` quantile of the
+/// cells' mixture. `p = 0` gives `0`, and a `p` outside `[0, 1]` NaN.
 pub fn reliability_quantile(
     mixture: &GammaProductMixture,
     spec: ModelSpec,
@@ -150,14 +149,15 @@ pub fn reliability_quantile(
     if !(0.0..=1.0).contains(&p) {
         return f64::NAN;
     }
-    bisect(
-        |x| reliability_cdf(mixture, spec, t, u, x) - p,
-        0.0,
-        1.0,
-        1e-10,
-        200,
-    )
-    .unwrap_or(f64::NAN)
+    if p == 0.0 {
+        return 0.0;
+    }
+    let table = CellTable::new(mixture.beta_table(), GaussLegendre::shared(BETA_NODES));
+    let (_, mass, cells) = cell_mixture(table.cells(), |b| mission_mass(spec, b, t, u));
+    match cells {
+        Some(cells) if p < mass => (-cells.quantile(1.0 - p / mass)).exp(),
+        _ => 1.0,
+    }
 }
 
 #[cfg(test)]
@@ -223,8 +223,10 @@ mod tests {
         assert!((med - exact).abs() < 1e-3);
     }
 
+    /// With `t` far past β's support every cell has `c = 0`, so `R = 1`
+    /// almost surely and every quantile in `(0, 1]` is exactly `1`.
     #[test]
-    fn cdf_is_monotone_and_proper() {
+    fn quantile_is_one_where_no_cell_can_fail() {
         let mixture = GammaProductMixture::new(vec![MixtureComponent {
             weight: 1.0,
             omega: Gamma::new(40.0, 1.0).unwrap(),
@@ -232,32 +234,20 @@ mod tests {
         }])
         .unwrap();
         let spec = ModelSpec::goel_okumoto();
-        let (t, u) = (2e5, 1e4);
-        let mut prev = 0.0;
-        for i in 1..20 {
-            let x = i as f64 / 20.0;
-            let c = reliability_cdf(&mixture, spec, t, u, x);
-            assert!(c >= prev - 1e-12, "x={x}");
-            prev = c;
+        let (t, u) = (1e12, 1e4);
+        let table = CellTable::new(mixture.beta_table(), GaussLegendre::shared(BETA_NODES));
+        assert!(table
+            .cells()
+            .all(|(_, _, b)| mission_mass(spec, b, t, u) == 0.0));
+        for p in [f64::MIN_POSITIVE, 1e-12, 0.005, 0.5, 0.995, 1.0] {
+            assert_eq!(reliability_quantile(&mixture, spec, t, u, p), 1.0, "p={p}");
         }
-        assert_eq!(reliability_cdf(&mixture, spec, t, u, 0.0), 0.0);
-        assert_eq!(reliability_cdf(&mixture, spec, t, u, 1.0), 1.0);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        let mixture = GammaProductMixture::new(vec![MixtureComponent {
-            weight: 1.0,
-            omega: Gamma::new(40.0, 1.0).unwrap(),
-            beta: Gamma::new(10.0, 1e6).unwrap(),
-        }])
-        .unwrap();
-        let spec = ModelSpec::goel_okumoto();
-        let (t, u) = (2e5, 5e4);
-        for &p in &[0.05, 0.5, 0.95] {
-            let q = reliability_quantile(&mixture, spec, t, u, p);
-            let back = reliability_cdf(&mixture, spec, t, u, q);
-            assert!((back - p).abs() < 1e-6, "p={p}, q={q}, back={back}");
+        assert_eq!(reliability_quantile(&mixture, spec, t, u, 0.0), 0.0);
+        for p in [-1e-300, -0.5, 1.0 + f64::EPSILON, f64::INFINITY, f64::NAN] {
+            assert!(
+                reliability_quantile(&mixture, spec, t, u, p).is_nan(),
+                "p={p}"
+            );
         }
     }
 

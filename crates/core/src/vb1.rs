@@ -213,16 +213,6 @@ impl Vb1Posterior {
         })
     }
 
-    /// The independent variational marginal of `ω`.
-    pub fn omega_marginal(&self) -> &Gamma {
-        &self.omega
-    }
-
-    /// The independent variational marginal of `β`.
-    pub fn beta_marginal(&self) -> &Gamma {
-        &self.beta
-    }
-
     /// Poisson mean of the residual fault count `E[N] − m`.
     pub fn residual_mean(&self) -> f64 {
         self.residual_mean
@@ -376,8 +366,8 @@ mod tests {
         use nhpp_dist::Continuous;
         let post = fit_times_info();
         for &p in &[0.005, 0.5, 0.995] {
-            assert_eq!(post.quantile_omega(p), post.omega_marginal().quantile(p));
-            assert_eq!(post.quantile_beta(p), post.beta_marginal().quantile(p));
+            assert_eq!(post.quantile_omega(p), post.omega.quantile(p));
+            assert_eq!(post.quantile_beta(p), post.beta.quantile(p));
         }
     }
 
@@ -413,7 +403,7 @@ mod tests {
         use nhpp_dist::Continuous;
         let post = fit_times_info();
         let d = post.ln_joint_density(40.0, 1e-5).unwrap();
-        let expected = post.omega_marginal().ln_pdf(40.0) + post.beta_marginal().ln_pdf(1e-5);
+        let expected = post.omega.ln_pdf(40.0) + post.beta.ln_pdf(1e-5);
         assert!((d - expected).abs() < 1e-12);
     }
 }

@@ -396,13 +396,13 @@ impl Component {
 ///
 /// A VB2 fit's transient allocations are the candidate-`N` range and
 /// the per-component solved state; holding them here lets repeated
-/// fits (batch portfolios, the retry ladder, benchmark loops) run the
+/// fits (the batch workers of [`Vb2Posterior::fit_many`]) run the
 /// whole sweep without touching the allocator once the buffers have
 /// grown to the working size. A scratch is plain state — reusing one
 /// across different datasets or options is fine, and dropping it is
 /// always safe.
 #[derive(Debug, Default)]
-pub struct Vb2Scratch {
+pub(crate) struct Vb2Scratch {
     ns: Vec<u64>,
     components: Vec<Component>,
 }
@@ -451,24 +451,12 @@ pub struct Vb2WarmStart {
     xis: Vec<f64>,
 }
 
-/// Magic header of the serialized warm-start snapshot format.
-const WARM_START_MAGIC: &[u8; 8] = b"NHPPWS1\0";
-
 impl Vb2WarmStart {
     /// The stored starting point for component `N`, if the table
     /// covers it.
     pub fn xi(&self, n: u64) -> Option<f64> {
         let idx = n.checked_sub(self.n0)? as usize;
         self.xis.get(idx).copied()
-    }
-
-    /// The inclusive `N`-range the table covers, or `None` when empty.
-    pub fn n_range(&self) -> Option<(u64, u64)> {
-        if self.xis.is_empty() {
-            None
-        } else {
-            Some((self.n0, self.n0 + (self.xis.len() as u64 - 1)))
-        }
     }
 
     /// Number of table entries.
@@ -479,59 +467,6 @@ impl Vb2WarmStart {
     /// Whether the table has no entries (warm fits then behave cold).
     pub fn is_empty(&self) -> bool {
         self.xis.is_empty()
-    }
-
-    /// Serializes the table to a self-describing byte snapshot
-    /// (magic + `n0` + entry count + little-endian `f64` entries),
-    /// suitable for a durability log or a posterior cache file.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 16 + 8 * self.xis.len());
-        out.extend_from_slice(WARM_START_MAGIC);
-        out.extend_from_slice(&self.n0.to_le_bytes());
-        out.extend_from_slice(&(self.xis.len() as u64).to_le_bytes());
-        for xi in &self.xis {
-            out.extend_from_slice(&xi.to_le_bytes());
-        }
-        out
-    }
-
-    /// Reconstructs a table serialized by [`Vb2WarmStart::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// [`VbError::InvalidOption`] for a wrong magic, a truncated
-    /// buffer, or a non-finite / non-positive entry — a torn or
-    /// corrupted snapshot never becomes a silently wrong warm start.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, VbError> {
-        let take8 = |at: usize| -> Option<[u8; 8]> { bytes.get(at..at + 8)?.try_into().ok() };
-        if bytes.len() < 24 || &bytes[..8] != WARM_START_MAGIC {
-            return Err(VbError::InvalidOption {
-                message: "warm-start snapshot: bad magic or truncated header",
-            });
-        }
-        let n0 = u64::from_le_bytes(take8(8).expect("header length checked"));
-        let count = u64::from_le_bytes(take8(16).expect("header length checked"));
-        let Ok(count) = usize::try_from(count) else {
-            return Err(VbError::InvalidOption {
-                message: "warm-start snapshot: entry count overflows usize",
-            });
-        };
-        if bytes.len() != 24 + 8 * count {
-            return Err(VbError::InvalidOption {
-                message: "warm-start snapshot: body length does not match entry count",
-            });
-        }
-        let mut xis = Vec::with_capacity(count);
-        for i in 0..count {
-            let xi = f64::from_le_bytes(take8(24 + 8 * i).expect("body length checked"));
-            if !xi.is_finite() || !(xi > 0.0) {
-                return Err(VbError::InvalidOption {
-                    message: "warm-start snapshot: entry is not finite and positive",
-                });
-            }
-            xis.push(xi);
-        }
-        Ok(Vb2WarmStart { n0, xis })
     }
 }
 
@@ -595,16 +530,11 @@ impl Vb2Posterior {
     /// [`Vb2Posterior::fit`] reusing caller-owned working memory.
     ///
     /// The hot sweep writes into the scratch's buffers instead of
-    /// allocating per round, so a caller fitting in a loop (batch
-    /// portfolios, benchmark harnesses, the supervised retry ladder)
-    /// amortises all transient allocation to the first fit. Results
-    /// are identical to [`Vb2Posterior::fit`] regardless of the
-    /// scratch's history.
-    ///
-    /// # Errors
-    ///
-    /// As [`Vb2Posterior::fit`].
-    pub fn fit_with_scratch(
+    /// allocating per round, so a caller fitting in a loop (the batch
+    /// workers of [`Vb2Posterior::fit_many`]) amortises all transient
+    /// allocation to the first fit. Results are identical to
+    /// [`Vb2Posterior::fit`] regardless of the scratch's history.
+    fn fit_with_scratch(
         spec: ModelSpec,
         prior: NhppPrior,
         data: &ObservedData,
@@ -2159,27 +2089,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_table_lookup_and_snapshot_roundtrip() {
+    fn warm_start_table_looks_up_by_n() {
         let post = fit_times_info();
         let warm = post.warm_start();
-        let (lo, hi) = warm.n_range().unwrap();
-        assert_eq!(lo, 38);
-        assert_eq!(hi, post.pv_n().last().unwrap().0);
+        let (lo, hi) = (38, post.pv_n().last().unwrap().0);
+        assert_eq!(post.pv_n()[0].0, lo);
         assert_eq!(warm.len(), post.pv_n().len());
         assert!(warm.xi(lo).unwrap() > 0.0);
+        assert!(warm.xi(hi).unwrap() > 0.0);
         assert_eq!(warm.xi(lo - 1), None);
         assert_eq!(warm.xi(hi + 1), None);
-        let bytes = warm.to_bytes();
-        assert_eq!(Vb2WarmStart::from_bytes(&bytes).unwrap(), warm);
-        // Torn or corrupted snapshots are rejected, never misread.
-        assert!(Vb2WarmStart::from_bytes(&bytes[..bytes.len() - 3]).is_err());
-        let mut corrupt = bytes.clone();
-        corrupt[0] ^= 0xFF;
-        assert!(Vb2WarmStart::from_bytes(&corrupt).is_err());
-        let mut negative = bytes;
-        let last = negative.len() - 8;
-        negative[last..].copy_from_slice(&(-1.0f64).to_le_bytes());
-        assert!(Vb2WarmStart::from_bytes(&negative).is_err());
     }
 
     #[test]

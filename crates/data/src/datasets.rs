@@ -39,14 +39,6 @@ pub fn sshaped_times() -> FailureTimeData {
         .expect("constant dataset is valid")
 }
 
-/// The S-shaped dataset grouped into twenty 3 000-second intervals.
-pub fn sshaped_grouped() -> GroupedData {
-    let boundaries = (1..=SSHAPED_COUNTS.len())
-        .map(|i| i as f64 * 3_000.0)
-        .collect();
-    GroupedData::new(boundaries, SSHAPED_COUNTS.to_vec()).expect("constant dataset is valid")
-}
-
 /// An "early-phase" view of the System 17 surrogate: only the first
 /// `days` working days of the grouped data. With few failures and no
 /// visible saturation of the growth curve, `ω` is barely identified —
@@ -73,10 +65,8 @@ mod tests {
     #[test]
     fn sshaped_datasets_consistent() {
         let t = sshaped_times();
-        let g = sshaped_grouped();
         assert_eq!(t.len(), 54);
-        assert_eq!(g.total_count(), 54);
-        assert_eq!(g.observation_end(), SSHAPED_T_END);
+        assert_eq!(t.observation_end(), SSHAPED_T_END);
         // Regrouping the times reproduces the counts.
         let regrouped = t.group_equal_width(20).unwrap();
         assert_eq!(regrouped.counts(), &SSHAPED_COUNTS[..]);

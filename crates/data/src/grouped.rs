@@ -140,22 +140,6 @@ impl GroupedData {
             .collect()
     }
 
-    /// The first `k` intervals — the dataset as it looked after `k`
-    /// reporting periods.
-    ///
-    /// # Errors
-    ///
-    /// [`DataError::InvalidGrouping`] if `k` is zero or exceeds the
-    /// number of intervals.
-    pub fn prefix(&self, k: usize) -> Result<GroupedData, DataError> {
-        if k == 0 || k > self.len() {
-            return Err(DataError::InvalidGrouping {
-                message: format!("prefix length {k} must be in 1..={}", self.len()),
-            });
-        }
-        GroupedData::new(self.boundaries[..k].to_vec(), self.counts[..k].to_vec())
-    }
-
     /// Merges every `factor` consecutive intervals into one — the data
     /// as a coarser reporting cadence would have recorded it (weekly
     /// instead of daily counts, say). A final partial group absorbs any
@@ -238,16 +222,6 @@ mod tests {
     fn cumulative() {
         let g = GroupedData::from_unit_intervals(vec![1, 0, 2, 1]).unwrap();
         assert_eq!(g.cumulative_counts(), vec![1, 1, 3, 4]);
-    }
-
-    #[test]
-    fn prefix_takes_leading_intervals() {
-        let g = GroupedData::from_unit_intervals(vec![1, 2, 3, 4]).unwrap();
-        let p = g.prefix(2).unwrap();
-        assert_eq!(p.counts(), &[1, 2]);
-        assert_eq!(p.observation_end(), 2.0);
-        assert!(g.prefix(0).is_err());
-        assert!(g.prefix(5).is_err());
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod times;
 
 pub use error::DataError;
 pub use grouped::GroupedData;
-pub use stats::{laplace_trend_factor, SummaryStats};
+pub use stats::laplace_trend_factor;
 pub use times::FailureTimeData;
 
 /// Either kind of observed failure data, for APIs that accept both.

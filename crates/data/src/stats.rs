@@ -1,38 +1,6 @@
-//! Descriptive statistics and trend testing for failure data.
+//! Trend testing for failure data.
 
 use crate::times::FailureTimeData;
-
-/// Summary statistics of a failure dataset.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SummaryStats {
-    /// Number of observed failures.
-    pub count: usize,
-    /// End of the observation window.
-    pub observation_end: f64,
-    /// Mean inter-failure time (observation window divided by count;
-    /// NaN when no failures were observed).
-    pub mean_interarrival: f64,
-    /// Empirical failure intensity over the whole window (count / window).
-    pub overall_intensity: f64,
-}
-
-impl SummaryStats {
-    /// Summarises failure-time data.
-    pub fn from_times(data: &FailureTimeData) -> Self {
-        let count = data.len();
-        let t_end = data.observation_end();
-        SummaryStats {
-            count,
-            observation_end: t_end,
-            mean_interarrival: if count > 0 {
-                t_end / count as f64
-            } else {
-                f64::NAN
-            },
-            overall_intensity: count as f64 / t_end,
-        }
-    }
-}
 
 /// Laplace trend factor for failure-time data.
 ///
@@ -67,21 +35,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_from_times() {
-        let d = FailureTimeData::new(vec![1.0, 2.0, 3.0, 4.0], 10.0).unwrap();
-        let s = SummaryStats::from_times(&d);
-        assert_eq!(s.count, 4);
-        assert_eq!(s.observation_end, 10.0);
-        assert!((s.mean_interarrival - 2.5).abs() < 1e-14);
-        assert!((s.overall_intensity - 0.4).abs() < 1e-14);
-    }
-
-    #[test]
     fn empty_dataset_summary() {
         let d = FailureTimeData::new(vec![], 10.0).unwrap();
-        let s = SummaryStats::from_times(&d);
-        assert_eq!(s.count, 0);
-        assert!(s.mean_interarrival.is_nan());
         assert!(laplace_trend_factor(&d).is_nan());
     }
 

@@ -106,18 +106,6 @@ impl FailureTimeData {
         self.times.iter().map(|t| t.ln()).sum()
     }
 
-    /// Restricts the dataset to the failures observed in `(0, t]` — the
-    /// view an analyst had at an earlier point of the campaign (used by
-    /// sequential-monitoring workflows).
-    ///
-    /// # Errors
-    ///
-    /// [`DataError::InvalidTimes`] if `t` is not positive and finite.
-    pub fn censor_at(&self, t: f64) -> Result<FailureTimeData, DataError> {
-        let times = self.times.iter().copied().filter(|&x| x <= t).collect();
-        FailureTimeData::new(times, t)
-    }
-
     /// Groups the failure times into `bins` equal-width intervals covering
     /// `(0, t_e]`, the transformation used to produce the paper's `D_G`
     /// from `D_T`.
@@ -171,17 +159,6 @@ mod tests {
         assert!((d.sum_ln_times() - (1.0f64.ln() + 2.0f64.ln() + 4.0f64.ln())).abs() < 1e-14);
         assert_eq!(d.len(), 3);
         assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn censor_at_truncates_history() {
-        let d = FailureTimeData::new(vec![1.0, 2.0, 3.0, 4.0], 10.0).unwrap();
-        let early = d.censor_at(2.5).unwrap();
-        assert_eq!(early.times(), &[1.0, 2.0]);
-        assert_eq!(early.observation_end(), 2.5);
-        assert!(d.censor_at(0.0).is_err());
-        // Censoring beyond the window keeps everything.
-        assert_eq!(d.censor_at(100.0).unwrap().len(), 4);
     }
 
     #[test]

@@ -103,12 +103,6 @@ impl Gamma {
         }
     }
 
-    /// Differential entropy of the distribution.
-    pub fn entropy(&self) -> f64 {
-        let a = self.shape;
-        a - self.rate.ln() + ln_gamma(a) + (1.0 - a) * nhpp_special::digamma(a)
-    }
-
     /// `ln P(lo < X <= hi)` computed without cancellation, choosing
     /// between CDF differences and survival differences depending on where
     /// the interval lies. `hi` may be `+∞`; `lo` may be `0`.
@@ -428,19 +422,5 @@ mod tests {
             assert!((var - g.variance()).abs() < 0.05 * g.variance());
             assert!(samples.iter().all(|&x| x > 0.0));
         }
-    }
-
-    #[test]
-    fn entropy_matches_monte_carlo() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let g = Gamma::new(2.0, 1.5).unwrap();
-        let n = 200_000;
-        let mc: f64 = -g
-            .sample_n(&mut rng, n)
-            .iter()
-            .map(|&x| g.ln_pdf(x))
-            .sum::<f64>()
-            / n as f64;
-        assert!((g.entropy() - mc).abs() < 5e-3);
     }
 }

@@ -386,28 +386,28 @@ struct CellRow {
     half_width: f64,
 }
 
-/// A [`GammaProductMixture`]'s cell table: a 48-point Gauss–Legendre
-/// rule placed on every [`BetaRow`]'s `[lo, hi]`, with each node's
-/// density already weighted.
+/// A cell table: one Gauss–Legendre rule placed on every [`BetaRow`]'s
+/// `[lo, hi]`, with each node's density already weighted.
 ///
 /// A cell is one node of one row. It stores only
 /// `row weight · half-width · node weight · q(β)`, 8 bytes; β is
 /// recomputed as `centre + half_width·x`, the expression
 /// [`GaussLegendre::integrate`] uses. ω's Gamma and the map are kept once
 /// per row (32 bytes), so a row of 48 cells takes 416 bytes.
+/// [`GammaProductMixture::cell_table`] caches the 48-node table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellTable {
     rule: Arc<GaussLegendre>,
     rows: Vec<CellRow>,
-    /// `CELL_NODES` weighted densities per row, row after row.
+    /// `rule.len()` weighted densities per row, row after row.
     cells: Vec<f64>,
 }
 
 impl CellTable {
-    fn new(beta_table: &[BetaRow]) -> Self {
-        let rule = GaussLegendre::shared(CELL_NODES);
+    /// Places `rule` on every row of `beta_table`.
+    pub fn new(beta_table: &[BetaRow], rule: Arc<GaussLegendre>) -> Self {
         let mut rows = Vec::with_capacity(beta_table.len());
-        let mut cells = Vec::with_capacity(beta_table.len() * CELL_NODES);
+        let mut cells = Vec::with_capacity(beta_table.len() * rule.len());
         for row in beta_table {
             let centre = 0.5 * (row.lo + row.hi);
             let half_width = 0.5 * (row.hi - row.lo);
@@ -432,7 +432,7 @@ impl CellTable {
     pub fn expectation(&self, mut f: impl FnMut(&Gamma, f64) -> f64) -> f64 {
         let nodes = self.rule.nodes();
         let mut acc = 0.0;
-        for (row, cells) in self.rows.iter().zip(self.cells.chunks_exact(CELL_NODES)) {
+        for (row, cells) in self.rows.iter().zip(self.cells.chunks_exact(nodes.len())) {
             let mut inner = 0.0;
             for (&x, &cell) in nodes.iter().zip(cells) {
                 inner += cell * f(&row.omega, row.centre + row.half_width * x);
@@ -449,7 +449,7 @@ impl CellTable {
         let nodes = self.rule.nodes();
         self.rows
             .iter()
-            .zip(self.cells.chunks_exact(CELL_NODES))
+            .zip(self.cells.chunks_exact(nodes.len()))
             .flat_map(move |(row, cells)| {
                 nodes
                     .iter()
@@ -542,7 +542,7 @@ impl GammaProductMixture {
     /// once.
     pub fn cell_table(&self) -> &CellTable {
         self.cell_table
-            .get_or_init(|| CellTable::new(self.beta_table()))
+            .get_or_init(|| CellTable::new(self.beta_table(), GaussLegendre::shared(CELL_NODES)))
     }
 
     /// Number of components.

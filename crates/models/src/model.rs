@@ -104,32 +104,6 @@ impl GammaNhpp {
         self.omega * (self.law.ln_interval_mass(t, t + u)).exp()
     }
 
-    /// Testing time after which the expected residual fault count drops
-    /// to `target`: solves `ω·(1 − G(t)) = target`.
-    ///
-    /// Returns `0` if the target is already met at `t = 0` (i.e.
-    /// `target >= ω`) and [`ModelError::InvalidParameter`] for a
-    /// non-positive target (the expected residual never reaches zero in
-    /// finite time).
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::InvalidParameter`] unless `0 < target`.
-    pub fn time_to_residual_target(&self, target: f64) -> Result<f64, ModelError> {
-        if !(target > 0.0) {
-            return Err(ModelError::InvalidParameter {
-                name: "target",
-                value: target,
-                constraint: "must be positive (the residual only reaches 0 asymptotically)",
-            });
-        }
-        if target >= self.omega {
-            return Ok(0.0);
-        }
-        // ω·S(t) = target  ⇔  S(t) = target/ω  ⇔  t = S⁻¹(target/ω).
-        Ok(self.law.quantile_upper(target / self.omega))
-    }
-
     /// Testing time after which the reliability over a mission of length
     /// `u` first reaches `target`: solves `R(t+u | t) = target` for `t`.
     ///
@@ -243,17 +217,6 @@ mod tests {
         let m = go();
         assert!((m.expected_residual_faults(0.0) - 50.0).abs() < 1e-10);
         assert!(m.expected_residual_faults(10.0) > m.expected_residual_faults(30.0));
-    }
-
-    #[test]
-    fn time_to_residual_target_inverts_residual() {
-        let m = go();
-        let t = m.time_to_residual_target(5.0).unwrap();
-        assert!((m.expected_residual_faults(t) - 5.0).abs() < 1e-8);
-        // Already satisfied.
-        assert_eq!(m.time_to_residual_target(100.0).unwrap(), 0.0);
-        // Invalid target.
-        assert!(m.time_to_residual_target(0.0).is_err());
     }
 
     #[test]

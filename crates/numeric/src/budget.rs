@@ -67,12 +67,6 @@ impl Budget {
         self.limit.saturating_sub(self.used)
     }
 
-    /// Whether the iteration limit or deadline has been reached.
-    /// (Deadline expiry is only as fresh as the last strided check.)
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining() == 0
-    }
-
     /// Charges `n` iterations against the budget.
     ///
     /// # Errors
@@ -231,7 +225,7 @@ mod tests {
         let mut b = Budget::iterations(3);
         assert!(b.charge(1).is_ok());
         assert!(b.charge(2).is_ok());
-        assert!(b.is_exhausted());
+        assert_eq!(b.remaining(), 0);
         let err = b.charge(1).unwrap_err();
         assert!(matches!(err, NumericError::BudgetExhausted { used: 4, .. }));
     }
@@ -243,7 +237,7 @@ mod tests {
             b.charge(1_000).unwrap();
         }
         assert_eq!(b.used(), 10_000_000);
-        assert!(!b.is_exhausted());
+        assert!(b.remaining() > 0);
     }
 
     #[test]
@@ -289,7 +283,7 @@ mod tests {
         assert_eq!(child2.remaining(), 5);
         child2.charge(5).unwrap();
         parent.absorb(&child2).unwrap();
-        assert!(parent.is_exhausted());
+        assert_eq!(parent.remaining(), 0);
     }
 
     #[test]

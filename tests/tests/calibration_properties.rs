@@ -37,25 +37,39 @@ fn vb1() -> &'static Vb1Posterior {
     })
 }
 
+/// The calibrated `ω` interval as the `/interval` route serves it: the
+/// raw interval rescaled about the median, floored at 0.
+fn interval_omega(cal: &Calibration, post: &dyn Posterior, level: f64) -> (f64, f64) {
+    cal.interval(
+        post.quantile_omega(0.5),
+        post.credible_interval_omega(level),
+        0.0,
+    )
+}
+
+/// The calibrated `β` interval as the `/interval` route serves it.
+fn interval_beta(cal: &Calibration, post: &dyn Posterior, level: f64) -> (f64, f64) {
+    cal.interval(
+        post.quantile_beta(0.5),
+        post.credible_interval_beta(level),
+        0.0,
+    )
+}
+
 #[test]
 fn identity_calibration_is_bitwise_on_served_quantities() {
     let post = vb1();
     let id = Calibration::identity();
     for level in [0.5, 0.9, 0.95, 0.99] {
         let raw = post.credible_interval_omega(level);
-        let cal = id.interval_omega(post, level);
+        let cal = interval_omega(&id, post, level);
         assert_eq!(raw.0.to_bits(), cal.0.to_bits());
         assert_eq!(raw.1.to_bits(), cal.1.to_bits());
         let raw = post.credible_interval_beta(level);
-        let cal = id.interval_beta(post, level);
+        let cal = interval_beta(&id, post, level);
         assert_eq!(raw.0.to_bits(), cal.0.to_bits());
         assert_eq!(raw.1.to_bits(), cal.1.to_bits());
     }
-    let t = Scenario::dt_info().data.observation_end();
-    let raw = post.reliability_interval(t, 1000.0, 0.99);
-    let cal = id.reliability_interval(post, t, 1000.0, 0.99);
-    assert_eq!(raw.0.to_bits(), cal.0.to_bits());
-    assert_eq!(raw.1.to_bits(), cal.1.to_bits());
 }
 
 proptest! {
@@ -73,12 +87,12 @@ proptest! {
         let post = vb1();
         let cal = Calibration::new(factor);
         let l_high = l_low + widen;
-        let (lo1, hi1) = cal.interval_omega(post, l_low);
-        let (lo2, hi2) = cal.interval_omega(post, l_high);
+        let (lo1, hi1) = interval_omega(&cal, post, l_low);
+        let (lo2, hi2) = interval_omega(&cal, post, l_high);
         prop_assert!(lo2 <= lo1, "omega lower endpoint not monotone: {lo2} > {lo1}");
         prop_assert!(hi2 >= hi1, "omega upper endpoint not monotone: {hi2} < {hi1}");
-        let (lo1, hi1) = cal.interval_beta(post, l_low);
-        let (lo2, hi2) = cal.interval_beta(post, l_high);
+        let (lo1, hi1) = interval_beta(&cal, post, l_low);
+        let (lo2, hi2) = interval_beta(&cal, post, l_high);
         prop_assert!(lo2 <= lo1, "beta lower endpoint not monotone");
         prop_assert!(hi2 >= hi1, "beta upper endpoint not monotone");
     }
@@ -95,10 +109,10 @@ proptest! {
         let post = vb1();
         let cal = Calibration::new(factor);
         let median = post.quantile_omega(0.5);
-        let (lo, hi) = cal.interval_omega(post, level);
+        let (lo, hi) = interval_omega(&cal, post, level);
         prop_assert!(lo <= median && median <= hi, "omega: [{lo}, {hi}] vs median {median}");
         let median = post.quantile_beta(0.5);
-        let (lo, hi) = cal.interval_beta(post, level);
+        let (lo, hi) = interval_beta(&cal, post, level);
         prop_assert!(lo <= median && median <= hi, "beta: [{lo}, {hi}] vs median {median}");
     }
 
@@ -161,8 +175,8 @@ fn calibrated_intervals_are_bitwise_deterministic_across_threads_and_lanes() {
         for threads in thread_counts() {
             let post =
                 Vb2Posterior::fit(spec, scenario.prior, &scenario.data, options(threads)).unwrap();
-            let (w_lo, w_hi) = cal.interval_omega(&post, 0.95);
-            let (b_lo, b_hi) = cal.interval_beta(&post, 0.95);
+            let (w_lo, w_hi) = interval_omega(&cal, &post, 0.95);
+            let (b_lo, b_hi) = interval_beta(&cal, &post, 0.95);
             let p = cal.spc_statistic(0.9, 0.5);
             let bits = vec![
                 w_lo.to_bits(),

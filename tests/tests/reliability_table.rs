@@ -4,11 +4,18 @@
 //! The reference below is that quadrature: every call recomputes each
 //! component's β bounds and density and takes the mission mass as a
 //! difference of incomplete gammas, for every α₀. Non-integer α₀ keep
-//! that mission mass, so there the table must reproduce the reference
+//! that mission mass, so there the point must reproduce the reference
 //! bit for bit. GO and DSS now use closed forms, so there R and 1 − R
 //! must agree to 1e-12 relative at every System 17 chart gap; burst-size
 //! gaps, where the reference itself loses digits, are checked against
 //! quadrature of the density in `nhpp_vb::reliability`'s unit tests.
+//!
+//! Reliability quantiles are Newton solves on the flat mixture of a
+//! 96-node cell table, so their bits differ from any bisection. Each
+//! must lie within 1e-13 absolute of the reference CDF's root bisected
+//! to adjacent floats, at p ∈ {0.005, 0.05, 0.5, 0.95, 0.995}. The
+//! bisection to 1e-10 they replaced was itself up to 2.9e-11 off that
+//! root.
 //!
 //! The GO and DSS point estimate runs on the mixture's 48-node cell
 //! table. Beyond the System 17 D_T fits, it is checked on the grouped
@@ -22,7 +29,6 @@ use nhpp_dist::{Continuous, Gamma, GammaProductMixture};
 use nhpp_models::prior::NhppPrior;
 use nhpp_models::{ModelSpec, Posterior};
 use nhpp_numeric::quadrature::GaussLegendre;
-use nhpp_numeric::roots::bisect;
 use nhpp_vb::Vb2Posterior;
 use std::sync::Barrier;
 
@@ -88,21 +94,56 @@ fn reference_cdf(mixture: &GammaProductMixture, spec: ModelSpec, t: f64, u: f64,
     acc.clamp(0.0, 1.0)
 }
 
+/// The root of `reference_cdf(x) = p`, bisected to adjacent floats
+/// inside `[x0 − 1e-12, x0 + 1e-12]`: the first float `x` with
+/// `reference_cdf(x) ≥ p`. Panics unless that bracket holds the root, so
+/// an `x0` more than 1e-12 off fails here.
 fn reference_quantile(
     mixture: &GammaProductMixture,
     spec: ModelSpec,
-    t: f64,
-    u: f64,
+    (t, u): (f64, f64),
     p: f64,
+    x0: f64,
 ) -> f64 {
-    bisect(
-        |x| reference_cdf(mixture, spec, t, u, x) - p,
-        0.0,
-        1.0,
-        1e-10,
-        200,
-    )
-    .unwrap()
+    let cdf = |x: f64| reference_cdf(mixture, spec, t, u, x);
+    let (lo, hi) = ((x0 - 1e-12).max(0.0), (x0 + 1e-12).min(1.0));
+    assert!(
+        cdf(lo) < p && p <= cdf(hi),
+        "p={p} not bracketed around {x0}"
+    );
+    // Non-negative floats order like their bit patterns.
+    let (mut lo, mut hi) = (lo.to_bits(), hi.to_bits());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if cdf(f64::from_bits(mid)) < p {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    f64::from_bits(hi)
+}
+
+/// The quantile levels checked against [`reference_quantile`].
+const QUANTILE_LEVELS: [f64; 5] = [0.005, 0.05, 0.5, 0.95, 0.995];
+/// The bound on |Δx| between a reliability quantile and the adjacent-float
+/// root of the reference CDF.
+const QUANTILE_ABS_BOUND: f64 = 1e-13;
+
+/// Every reliability quantile at [`QUANTILE_LEVELS`] for the window
+/// `(t, t + u]` lies within [`QUANTILE_ABS_BOUND`] of the reference's
+/// adjacent-float root.
+fn assert_quantiles(spec: ModelSpec, post: &Vb2Posterior, label: &str, (t, u): (f64, f64)) {
+    for p in QUANTILE_LEVELS {
+        let got = post.reliability_quantile(t, u, p);
+        let want = reference_quantile(post.mixture(), spec, (t, u), p, got);
+        assert!(
+            (got - want).abs() <= QUANTILE_ABS_BOUND,
+            "α₀={} {label} quantile p={p} of R({t}, {u}): {got} vs {want} (Δ {:e})",
+            spec.alpha0(),
+            got - want
+        );
+    }
 }
 
 /// The System 17 failure-time fit of `scenario` (info or flat prior,
@@ -132,9 +173,7 @@ fn assert_bitwise(spec: ModelSpec, scenario: &Scenario) {
             "R({t}, {u}): {got} vs {want}"
         );
     }
-    let got = post.reliability_quantile(sys17::T_END, MISSION, 0.05);
-    let want = reference_quantile(mixture, spec, sys17::T_END, MISSION, 0.05);
-    assert_eq!(got.to_bits(), want.to_bits(), "quantile: {got} vs {want}");
+    assert_quantiles(spec, &post, scenario.name, (sys17::T_END, MISSION));
 }
 
 fn assert_close(spec: ModelSpec, scenario: &Scenario) {
@@ -153,9 +192,7 @@ fn assert_close(spec: ModelSpec, scenario: &Scenario) {
             spec.alpha0()
         );
     }
-    let got = post.reliability_quantile(sys17::T_END, MISSION, 0.05);
-    let want = reference_quantile(mixture, spec, sys17::T_END, MISSION, 0.05);
-    assert!((got - want).abs() <= 2e-10, "quantile: {got} vs {want}");
+    assert_quantiles(spec, &post, scenario.name, (sys17::T_END, MISSION));
 }
 
 #[test]
@@ -209,10 +246,10 @@ const CELL_ABS_BOUND: f64 = 1e-13;
 
 fn assert_cells_within_bound(
     spec: ModelSpec,
-    scenario: &Scenario,
+    post: &Vb2Posterior,
+    label: &str,
     windows: impl IntoIterator<Item = (f64, f64)>,
 ) {
-    let post = fit(spec, scenario);
     for (t, u) in windows {
         let (got, want) = (
             post.reliability_point(t, u),
@@ -220,24 +257,26 @@ fn assert_cells_within_bound(
         );
         assert!(
             (got - want).abs() <= CELL_ABS_BOUND,
-            "α₀={} {} R({t}, {u}): {got} vs {want} (ΔR {:e})",
+            "α₀={} {label} R({t}, {u}): {got} vs {want} (ΔR {:e})",
             spec.alpha0(),
-            scenario.name,
             got - want
         );
     }
 }
 
 /// Grouped System 17 fits, at one-day windows from every day boundary
-/// of the observation period and at the scenario's missions after it.
+/// of the observation period and at the scenario's missions after it;
+/// their reliability quantiles at the `/reliability` route's mission.
 #[test]
 fn grouped_fits_agree_across_the_observation_period() {
     for spec in [ModelSpec::goel_okumoto(), ModelSpec::delayed_s_shaped()] {
         for scenario in [Scenario::dg_info(), Scenario::dg_noinfo()] {
+            let post = fit(spec, &scenario);
             let t_end = scenario.data.observation_end();
             let days = (0..sys17::WORKING_DAYS).map(|d| (d as f64, 1.0));
             let missions = scenario.missions.map(|u| (t_end, u));
-            assert_cells_within_bound(spec, &scenario, days.chain(missions));
+            assert_cells_within_bound(spec, &post, scenario.name, days.chain(missions));
+            assert_quantiles(spec, &post, scenario.name, (t_end, t_end / 100.0));
         }
     }
 }
@@ -265,6 +304,7 @@ fn ingest_like_history_agrees_at_every_chart_gap() {
         missions: [1_000.0, 10_000.0],
     };
     for spec in [ModelSpec::goel_okumoto(), ModelSpec::delayed_s_shaped()] {
-        assert_cells_within_bound(spec, &scenario, gaps.iter().copied());
+        let post = fit(spec, &scenario);
+        assert_cells_within_bound(spec, &post, scenario.name, gaps.iter().copied());
     }
 }

@@ -12,13 +12,17 @@
 //! at α₀ = 0.5 and 3.5) the edges must agree to 1e-10 relative, the mean
 //! to 1e-12 relative and the pmf to 1e-12 absolute at every k. A
 //! proptest checks the edges on random mixtures against a bisection of
-//! the cells' own CDF, atom at zero included.
+//! the cells' own CDF, atom at zero included. On the same mixtures it
+//! checks the reliability quantiles, which invert the same kind of
+//! mixture on a 96-node cell table, against an adjacent-float bisection
+//! of that table's reliability CDF.
 
 use nhpp_bench::Scenario;
-use nhpp_dist::{Continuous, Gamma, GammaProductMixture, MixtureComponent};
+use nhpp_dist::{CellTable, Continuous, Gamma, GammaProductMixture, MixtureComponent};
 use nhpp_models::ModelSpec;
 use nhpp_numeric::quadrature::GaussLegendre;
 use nhpp_vb::bands::{mean_value_band, BandPoint};
+use nhpp_vb::reliability::reliability_quantile;
 use nhpp_vb::Vb2Posterior;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -246,6 +250,53 @@ fn cell_cdf(mixture: &GammaProductMixture, spec: ModelSpec, t: f64, x: f64) -> f
         .sum()
 }
 
+/// Nodes per β-row of the reliability quantiles' cell table.
+const RELIABILITY_NODES: usize = 96;
+
+/// The cells of `table` as the reliability CDF
+/// `P(R ≤ x) = Σ_{c>0} w·P(ω·c > −ln x)` of the window `(t, t + u]`
+/// reads them: per cell `(w, Gamma(A, r/c))`, or `None` where `c = 0`.
+fn reliability_cells(
+    table: &CellTable,
+    spec: ModelSpec,
+    t: f64,
+    u: f64,
+) -> Vec<(f64, Option<Gamma>)> {
+    table
+        .cells()
+        .map(|(w, omega, b)| {
+            let c = window_mass(spec, b, t, u);
+            (w, Gamma::new(omega.shape(), omega.rate() / c).ok())
+        })
+        .collect()
+}
+
+/// The first float `x` in `[0, 1]` with `P(R ≤ x) ≥ p` over `cells`,
+/// bisected to adjacent floats; `P(R ≤ 1) = 1`.
+fn reliability_root(cells: &[(f64, Option<Gamma>)], p: f64) -> f64 {
+    let cdf = |x: f64| {
+        if x >= 1.0 {
+            return 1.0;
+        }
+        let y = -x.ln();
+        cells
+            .iter()
+            .filter_map(|(w, cell)| cell.map(|cell| w * cell.sf(y)))
+            .sum::<f64>()
+    };
+    // Non-negative floats order like their bit patterns.
+    let (mut lo, mut hi) = (0f64.to_bits(), 1f64.to_bits());
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if cdf(f64::from_bits(mid)) < p {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    f64::from_bits(hi)
+}
+
 /// GO, DSS or a gamma-type model with α₀ in `[0.5, 4)`.
 fn spec_strategy() -> impl Strategy<Value = ModelSpec> {
     (0usize..3, 0.5f64..4.0).prop_map(|(kind, a0)| match kind {
@@ -271,7 +322,10 @@ proptest! {
 
     /// Band edges of 1–5-component mixtures, at windows whose mission
     /// mass ranges from a sliver to nearly all of `G`, match a bisection
-    /// of the same cells' CDF to 1e-10 relative.
+    /// of the same cells' CDF to 1e-10 relative. The reliability
+    /// quantiles of the mission `(t, 2t]` at `tail`, 0.5 and `1 − tail`
+    /// match an adjacent-float bisection of the 96-node cells' CDF to
+    /// 1e-12 absolute, and rise with p.
     #[test]
     fn band_edges_invert_the_cells_cdf(
         parts in proptest::collection::vec(component_strategy(), 1..6),
@@ -295,6 +349,16 @@ proptest! {
             prop_assert!(got.is_finite() && got > 0.0, "p={p}: {got}");
             let want = bisect_near(|x| cell_cdf(&mixture, spec, t, x), p, got);
             prop_assert!((got - want).abs() <= 1e-10 * want, "p={p}: {got} vs {want}");
+        }
+        let table = CellTable::new(mixture.beta_table(), GaussLegendre::shared(RELIABILITY_NODES));
+        let cells = reliability_cells(&table, spec, t, t);
+        let mut prev = 0.0;
+        for p in [tail, 0.5, 1.0 - tail] {
+            let got = reliability_quantile(&mixture, spec, t, t, p);
+            let want = reliability_root(&cells, p);
+            prop_assert!((got - want).abs() <= 1e-12, "R p={p}: {got} vs {want}");
+            prop_assert!(got >= prev, "R p={p}: {got} below {prev}");
+            prev = got;
         }
     }
 }
